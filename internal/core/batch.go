@@ -146,16 +146,18 @@ func (p *DFCM) RunBatch(batch []trace.Event) Result {
 	return res
 }
 
-// RunBatch implements BatchRunner. The table scans inside Predict and
-// Update run on the concrete receiver (devirtualized and inlinable);
-// both use fixed-size stack arrays for the per-table indices, so the
+// RunBatch implements BatchRunner. One table lookup per event serves
+// both the hit check and the training, where Predict then Update would
+// scan the tagged tables twice; the lookup lives on the stack, so the
 // loop allocates nothing.
 func (p *TAGE) RunBatch(batch []trace.Event) Result {
 	res := Result{Predictions: uint64(len(batch))}
+	var l tageLookup
 	for i := range batch {
 		e := &batch[i]
-		res.Correct += uint64(hit01(p.Predict(e.PC), e.Value))
-		p.Update(e.PC, e.Value)
+		p.lookup(e.PC>>2, &l)
+		res.Correct += uint64(hit01(p.last[l.bi]+l.stride, e.Value))
+		p.train(e.Value, &l)
 	}
 	return res
 }

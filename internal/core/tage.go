@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/hash"
 )
@@ -52,14 +53,7 @@ type TAGE struct {
 	strideMask uint32
 	extShift   uint
 
-	// Folded-history geometry, three registers per table (index, tag
-	// low, tag high), immutable after construction. foldLen is the
-	// table's history window in bits, foldWidth the compressed register
-	// width, foldOut the precomputed foldLen % foldWidth of the
-	// outgoing-bit cancellation.
-	foldWidth []uint
-	foldLen   []uint
-	foldOut   []uint
+	folds []tageFold // per tagged table, see tageFold
 
 	// Base component (the order-0 differential predictor).
 	last    []uint32 // last value per static instruction
@@ -72,16 +66,38 @@ type TAGE struct {
 	conf    []uint8  // 2-bit stride confidence
 	ubits   []uint8  // 2-bit usefulness
 
-	// Global stride history: tageBitsPerEvent bits of each update's
-	// folded stride, in a ring of one bit per byte. tick counts
-	// updates; the write position and the folded registers are derived
-	// from (ring, tick) and rebuilt on restore rather than serialized.
+	// Global stride history: each update's tageBitsPerEvent-bit folded
+	// stride, one nibble per event, bit-reversed (newest bit in bit 0) to
+	// shift straight into the folded registers; snapshots carry one byte
+	// per bit. tick counts updates; the write position and the folded
+	// registers derive from (ring, tick) and are rebuilt, not serialized.
 	ring     []uint8
 	ringMask uint32
 	tick     uint64
+	pos      uint32 // derived: next ring write position
+}
 
-	fold []uint32 // derived: 3 registers per table (idx, tag0, tag1)
-	pos  uint32   // derived: next ring write position
+// tageFold is one tagged table's folded history: three registers
+// (index, tag low, tag high) compressing the table's window of hist
+// events, each width bits wide. out is the precomputed
+// (hist*tageBitsPerEvent) % width rotation at which a nibble leaving
+// the window cancels. Only reg changes after construction.
+type tageFold struct {
+	reg   [3]uint32
+	width [3]uint8
+	out   [3]uint8
+	hist  uint32
+}
+
+// tageLookup is one event's view of the tables under the current
+// history: the base slot, the slot and tag of every table scanned (all
+// that training and allocation touch), the provider and altpred (-1 if
+// absent; the base stride stands in), and the predicted stride.
+type tageLookup struct {
+	bi                            uint32
+	slot, tag                     [TAGEMaxTables]uint32
+	provider, alt                 int
+	provStride, altStride, stride uint32
 }
 
 // VTAGE geometry limits and policy constants.
@@ -161,11 +177,10 @@ func NewTAGE(l1bits, l2bits, strideBits uint, nTables int, tagBits, hmin, hmax u
 	}
 	hists := TAGEHistorySeries(nTables, hmin, hmax)
 
-	// The ring must out-live the longest fold window: one bit per byte,
-	// power-of-two sized so the write position wraps with a mask.
-	maxBits := hmax * tageBitsPerEvent
+	// The ring must out-live the longest fold window: one nibble per
+	// event, power-of-two sized so the write position wraps with a mask.
 	ringLen := uint32(1)
-	for ringLen <= uint32(maxBits) {
+	for ringLen <= uint32(hmax) {
 		ringLen <<= 1
 	}
 
@@ -181,9 +196,7 @@ func NewTAGE(l1bits, l2bits, strideBits uint, nTables int, tagBits, hmin, hmax u
 		tagMask:    uint32(1<<tagBits) - 1,
 		strideMask: uint32((uint64(1) << strideBits) - 1),
 		extShift:   32 - strideBits,
-		foldWidth:  make([]uint, 3*nTables),
-		foldLen:    make([]uint, 3*nTables),
-		foldOut:    make([]uint, 3*nTables),
+		folds:      make([]tageFold, nTables),
 		last:       make([]uint32, 1<<l1bits),
 		bstride:    make([]uint32, 1<<l1bits),
 		tags:       make([]uint32, nTables<<l2bits),
@@ -192,21 +205,17 @@ func NewTAGE(l1bits, l2bits, strideBits uint, nTables int, tagBits, hmin, hmax u
 		ubits:      make([]uint8, nTables<<l2bits),
 		ring:       make([]uint8, ringLen),
 		ringMask:   ringLen - 1,
-		fold:       make([]uint32, 3*nTables),
 	}
-	for t := 0; t < nTables; t++ {
-		bits := hists[t] * tageBitsPerEvent
+	for t := range p.folds {
+		f := &p.folds[t]
+		f.hist = uint32(hists[t])
 		// Index register folds to l2bits; the two tag registers fold to
 		// tagBits and tagBits-1, the classic staggered pair that keeps
 		// tag aliasing from tracking index aliasing.
 		for r, w := range [3]uint{l2bits, tagBits, tagBits - 1} {
-			if w == 0 {
-				w = 1 // l2bits can legally be tiny; a 0-width register cannot fold
-			}
-			i := 3*t + r
-			p.foldWidth[i] = w
-			p.foldLen[i] = bits
-			p.foldOut[i] = bits % w
+			w = max(w, 1) // l2bits can legally be tiny; a 0-width register cannot fold
+			f.width[r] = uint8(w)
+			f.out[r] = uint8(hists[t] * tageBitsPerEvent % w)
 		}
 	}
 	return p
@@ -222,90 +231,105 @@ func (p *TAGE) extend(stored uint32) uint32 {
 	return uint32(int32(stored<<p.extShift) >> p.extShift)
 }
 
-// tableIndex mixes PC entropy with the table's folded index register.
-// The per-table extra shift decorrelates the tables' index streams so
-// one hot PC does not collide at the same slot in every table.
-func (p *TAGE) tableIndex(t int, pcw uint32) uint32 {
-	return (pcw ^ (pcw >> (uint(t) + 1)) ^ p.fold[3*t]) & p.idxMask
-}
+// tageNibbleRev bit-reverses a history nibble, putting its last-pushed
+// bit first.
+const tageNibbleRev = "\x00\x08\x04\x0c\x02\x0a\x06\x0e\x01\x09\x05\x0d\x03\x0b\x07\x0f"
 
-// tableTag builds the partial tag from XOR'd PC entropy and the two
-// staggered folded tag registers.
-func (p *TAGE) tableTag(t int, pcw uint32) uint32 {
-	return (pcw ^ (pcw >> p.tagBits) ^ p.fold[3*t+1] ^ (p.fold[3*t+2] << 1)) & p.tagMask
-}
-
-// pushHistory folds one update's history bits into the ring and all
-// 3*nTables folded registers. Each bit advances every register by the
-// classic TAGE recurrence: shift in the new bit, cancel the bit
-// leaving the window at its precomputed fold position, wrap the
-// carry. Registers therefore always equal the from-scratch fold of
-// their window (pinned by TestTAGEFoldedHistoryMatchesScratch).
-func (p *TAGE) pushHistory(bits uint32) {
-	n3 := 3 * p.nTables
-	for b := uint(0); b < tageBitsPerEvent; b++ {
-		in := (bits >> b) & 1
-		pos := p.pos
-		for r := 0; r < n3; r++ {
-			out := uint32(p.ring[(pos-uint32(p.foldLen[r]))&p.ringMask])
-			w := p.foldWidth[r]
-			c := p.fold[r]
-			c = (c << 1) | in
-			c ^= out << p.foldOut[r]
-			c ^= c >> w
-			c &= uint32(1)<<w - 1
-			p.fold[r] = c
-		}
-		p.ring[pos] = uint8(in)
-		p.pos = (pos + 1) & p.ringMask
+// pushHistory folds one update's history nibble into the ring and all
+// 3*nTables folded registers, one step per register per event: shift in
+// the bit-reversed nibble, cancel the nibble leaving the table's window
+// at its precomputed rotation, fold the overflow back into width bits.
+// The fold is linear, so this is the per-bit TAGE recurrence applied
+// tageBitsPerEvent times at once, and each register equals the
+// from-scratch fold of its window (TestTAGEFoldedHistoryMatchesScratch).
+func (p *TAGE) pushHistory(nibble uint32) {
+	pos, ring, ringMask := p.pos, p.ring, p.ringMask
+	in := uint64(tageNibbleRev[nibble&0xf])
+	for t := range p.folds {
+		f := &p.folds[t]
+		out := uint64(ring[(pos-f.hist)&ringMask])
+		f.reg[0] = foldStep(f.reg[0], f.width[0], f.out[0], in, out)
+		f.reg[1] = foldStep(f.reg[1], f.width[1], f.out[1], in, out)
+		f.reg[2] = foldStep(f.reg[2], f.width[2], f.out[2], in, out)
 	}
+	ring[pos] = uint8(in)
+	p.pos = (pos + 1) & ringMask
+}
+
+// foldStep advances one w-bit register by a nibble (see pushHistory).
+// One overflow fold suffices at w >= 4; narrower registers loop. The
+// &63 masks tell the compiler the shifts are in range.
+func foldStep(c uint32, w, rot uint8, in, out uint64) uint32 {
+	mask := uint64(1)<<(w&63) - 1
+	x := (uint64(c)<<tageBitsPerEvent | in) ^ out<<(rot&63)
+	x = x&mask ^ x>>(w&63)
+	for x > mask {
+		x = x&mask ^ x>>(w&63)
+	}
+	return uint32(x)
 }
 
 // rebuildFolds recomputes the derived write position and folded
-// registers from the ring and update count — the from-scratch fold the
-// incremental pushHistory recurrence maintains. Restore and Reset use
-// it so the derived registers never need to be serialized or trusted.
+// registers from (ring, tick) by the from-scratch fold: history bit j,
+// counted back from the newest, lands at bit j mod width. RestoreState
+// uses it so the derived registers are never serialized or trusted.
 func (p *TAGE) rebuildFolds() {
-	bits := p.tick * tageBitsPerEvent
-	p.pos = uint32(bits) & p.ringMask
-	for r := range p.fold {
-		w := p.foldWidth[r]
-		var c uint32
-		for j := uint64(0); j < uint64(p.foldLen[r]) && j < bits; j++ {
-			c ^= uint32(p.ring[uint32(bits-1-j)&p.ringMask]) << (uint(j) % w)
+	p.pos = uint32(p.tick) & p.ringMask
+	for t := range p.folds {
+		f := &p.folds[t]
+		n := min(uint64(f.hist), p.tick) * tageBitsPerEvent
+		for r, w := range f.width {
+			var c uint32
+			for j := uint64(0); j < n; j++ {
+				nib := p.ring[(p.pos-1-uint32(j/tageBitsPerEvent))&p.ringMask]
+				c ^= uint32(nib>>(j%tageBitsPerEvent)&1) << (j % uint64(w))
+			}
+			f.reg[r] = c
 		}
-		p.fold[r] = c
 	}
 }
 
-// Predict returns the base last value plus the stride of the
-// longest-history tag match; an unconfirmed provider (conf 0) defers
-// to the alternate prediction, and no match at all falls back to the
-// base stride.
-func (p *TAGE) Predict(pc uint32) uint32 {
-	pcw := pc >> 2
-	bi := pcw & p.l1mask
-	stride := p.extend(p.bstride[bi])
-	altStride := stride
-	provConf := uint8(0)
-	found := 0
+// lookup scans the tagged tables from the longest history down against
+// the current folded history, filling l (see tageLookup). An
+// unconfirmed provider (conf 0) defers to the altpred; no match at all
+// falls back to the base stride. Predict, Update, Provider and RunBatch
+// all go through this one scan.
+func (p *TAGE) lookup(pcw uint32, l *tageLookup) {
+	l.bi = pcw & p.l1mask
+	base := p.extend(p.bstride[l.bi])
+	l.provider, l.alt = -1, -1
+	l.provStride, l.altStride = base, base
+	// Index: PC entropy, shifted per table so one hot PC does not collide
+	// at the same slot in every table, XOR the folded index register.
+	// Tag: PC entropy XOR the two staggered folded tag registers.
+	pcTag := pcw ^ pcw>>p.tagBits
 	for t := p.nTables - 1; t >= 0; t-- {
-		e := uint32(t)<<p.l2bits + p.tableIndex(t, pcw)
-		if p.tags[e] == p.tableTag(t, pcw) {
-			if found == 0 {
-				stride = p.extend(p.strides[e])
-				provConf = p.conf[e]
-				found = 1
-			} else {
-				altStride = p.extend(p.strides[e])
-				break
-			}
+		f := &p.folds[t]
+		slot := uint32(t)<<p.l2bits + (pcw^pcw>>(uint(t)+1)^f.reg[0])&p.idxMask
+		tag := (pcTag ^ f.reg[1] ^ f.reg[2]<<1) & p.tagMask
+		l.slot[t], l.tag[t] = slot, tag
+		if p.tags[slot] != tag {
+			continue
 		}
+		if l.provider >= 0 {
+			l.alt, l.altStride = t, p.extend(p.strides[slot])
+			break
+		}
+		l.provider, l.provStride = t, p.extend(p.strides[slot])
 	}
-	if found != 0 && provConf == 0 {
-		stride = altStride
+	l.stride = l.provStride
+	if l.provider >= 0 && p.conf[l.slot[l.provider]] == 0 {
+		l.stride = l.altStride
 	}
-	return p.last[bi] + stride
+}
+
+// Predict returns the base last value plus the looked-up stride: the
+// longest-history tag match's, its altpred's while it is unconfirmed,
+// or the base stride.
+func (p *TAGE) Predict(pc uint32) uint32 {
+	var l tageLookup
+	p.lookup(pc>>2, &l)
+	return p.last[l.bi] + l.stride
 }
 
 // Update trains the provider's stride confidence and usefulness,
@@ -314,52 +338,24 @@ func (p *TAGE) Predict(pc uint32) uint32 {
 // stride into the global history, and ages the u counters
 // periodically.
 func (p *TAGE) Update(pc, value uint32) {
-	pcw := pc >> 2
-	bi := pcw & p.l1mask
-	actual := value - p.last[bi]
+	var l tageLookup
+	p.lookup(pc>>2, &l)
+	p.train(value, &l)
+}
 
-	// Recompute what Predict saw: indices, tags, provider, altpred —
-	// all against the pre-update folded history.
-	var idxs, tgs [TAGEMaxTables]uint32
-	for t := 0; t < p.nTables; t++ {
-		idxs[t] = p.tableIndex(t, pcw)
-		tgs[t] = p.tableTag(t, pcw)
-	}
-	provider, alt := -1, -1
-	for t := p.nTables - 1; t >= 0; t-- {
-		if p.tags[uint32(t)<<p.l2bits+idxs[t]] == tgs[t] {
-			if provider < 0 {
-				provider = t
-			} else {
-				alt = t
-				break
-			}
-		}
-	}
-	base := p.extend(p.bstride[bi])
-	altStride := base
-	if alt >= 0 {
-		altStride = p.extend(p.strides[uint32(alt)<<p.l2bits+idxs[alt]])
-	}
-	finalStride, provStride := base, base
-	if provider >= 0 {
-		e := uint32(provider)<<p.l2bits + idxs[provider]
-		provStride = p.extend(p.strides[e])
-		if p.conf[e] == 0 {
-			finalStride = altStride
-		} else {
-			finalStride = provStride
-		}
-	}
+// train is Update against a lookup taken before the update, so a caller
+// that already looked the event up (RunBatch) does not scan twice.
+func (p *TAGE) train(value uint32, l *tageLookup) {
+	actual := value - p.last[l.bi]
 
 	// Provider training: confidence tracks whether the stored stride
 	// keeps recurring; the stride is replaced only at confidence 0, so
 	// a single outlier cannot wipe a confirmed pattern. Usefulness
 	// trains only when the provider actually decided something.
-	if provider >= 0 {
-		e := uint32(provider)<<p.l2bits + idxs[provider]
+	if l.provider >= 0 {
+		e := l.slot[l.provider]
 		switch {
-		case provStride == actual:
+		case l.provStride == actual:
 			if p.conf[e] < tageConfMax {
 				p.conf[e]++
 			}
@@ -368,8 +364,8 @@ func (p *TAGE) Update(pc, value uint32) {
 		default:
 			p.strides[e] = p.truncate(actual)
 		}
-		if provStride != altStride {
-			if provStride == actual {
+		if l.provStride != l.altStride {
+			if l.provStride == actual {
 				if p.ubits[e] < tageUMax {
 					p.ubits[e]++
 				}
@@ -384,12 +380,12 @@ func (p *TAGE) Update(pc, value uint32) {
 	// table after each grant to spread new entries across the series.
 	// When every candidate is useful, decay them all instead — the
 	// throttle that trades one allocation round for pressure relief.
-	if finalStride != actual && provider < p.nTables-1 {
+	if l.stride != actual && l.provider < p.nTables-1 {
 		allocated := 0
-		for t := provider + 1; t < p.nTables && allocated < tageMaxAlloc; t++ {
-			e := uint32(t)<<p.l2bits + idxs[t]
+		for t := l.provider + 1; t < p.nTables && allocated < tageMaxAlloc; t++ {
+			e := l.slot[t]
 			if p.ubits[e] == 0 {
-				p.tags[e] = tgs[t]
+				p.tags[e] = l.tag[t]
 				p.strides[e] = p.truncate(actual)
 				p.conf[e] = 0
 				allocated++
@@ -397,15 +393,15 @@ func (p *TAGE) Update(pc, value uint32) {
 			}
 		}
 		if allocated == 0 {
-			for t := provider + 1; t < p.nTables; t++ {
-				p.ubits[uint32(t)<<p.l2bits+idxs[t]]--
+			for t := l.provider + 1; t < p.nTables; t++ {
+				p.ubits[l.slot[t]]--
 			}
 		}
 	}
 
 	// Base component: DFCM-style, always store the newest stride.
-	p.bstride[bi] = p.truncate(actual)
-	p.last[bi] = value
+	p.bstride[l.bi] = p.truncate(actual)
+	p.last[l.bi] = value
 
 	p.pushHistory(uint32(hash.Fold(uint64(actual), tageBitsPerEvent)))
 	p.tick++
@@ -422,17 +418,11 @@ func (p *TAGE) Update(pc, value uint32) {
 
 // Provider returns the index of the tagged table that would provide
 // the prediction for pc (0 = shortest history), or -1 when the base
-// component would. Diagnostics only (cmd/vpstate); the hot path
-// inlines the same scan.
+// component would. Diagnostics only (cmd/vpstate).
 func (p *TAGE) Provider(pc uint32) int {
-	pcw := pc >> 2
-	for t := p.nTables - 1; t >= 0; t-- {
-		e := uint32(t)<<p.l2bits + p.tableIndex(t, pcw)
-		if p.tags[e] == p.tableTag(t, pcw) {
-			return t
-		}
-	}
-	return -1
+	var l tageLookup
+	p.lookup(pc>>2, &l)
+	return l.provider
 }
 
 // NumTables returns the tagged-table count.
@@ -501,14 +491,17 @@ func (p *TAGE) Reset() {
 	clear(p.ubits)
 	clear(p.ring)
 	p.tick = 0
-	clear(p.fold)
+	for t := range p.folds {
+		p.folds[t].reg = [3]uint32{}
+	}
 	p.pos = 0
 }
 
 // AppendState implements Snapshotter: base rows, then the tagged SoA
 // slices in declaration order, then the history ring (one byte per
-// bit) and the update count. The folded registers and write position
-// are derived from (ring, tick) and rebuilt on restore.
+// bit, each event's bits in push order) and the update count. The
+// folded registers and write position are derived from (ring, tick)
+// and rebuilt on restore.
 func (p *TAGE) AppendState(b []byte) []byte {
 	for i := range p.last {
 		b = binary.BigEndian.AppendUint32(b, p.last[i])
@@ -524,7 +517,9 @@ func (p *TAGE) AppendState(b []byte) []byte {
 	}
 	b = append(b, p.conf...)
 	b = append(b, p.ubits...)
-	b = append(b, p.ring...)
+	for _, n := range p.ring {
+		b = append(b, n>>3&1, n>>2&1, n>>1&1, n&1)
+	}
 	return binary.BigEndian.AppendUint64(b, p.tick)
 }
 
@@ -535,7 +530,7 @@ func (p *TAGE) AppendState(b []byte) []byte {
 // the restored window instead of being trusted from the wire.
 func (p *TAGE) RestoreState(data []byte) error {
 	want := 4*len(p.last) + 4*len(p.bstride) + 4*len(p.tags) + 4*len(p.strides) +
-		len(p.conf) + len(p.ubits) + len(p.ring) + 8
+		len(p.conf) + len(p.ubits) + tageBitsPerEvent*len(p.ring) + 8
 	if len(data) != want {
 		return stateSizeErr("tage", want, len(data))
 	}
@@ -582,12 +577,16 @@ func (p *TAGE) RestoreState(data []byte) error {
 	}
 	data = data[len(p.ubits):]
 	for i := range p.ring {
-		if data[i] > 1 {
-			return fmt.Errorf("%w: tage history byte %#x is not a bit", ErrState, data[i])
+		var n uint8
+		for _, bit := range data[tageBitsPerEvent*i : tageBitsPerEvent*(i+1)] {
+			if bit > 1 {
+				return fmt.Errorf("%w: tage history byte %#x is not a bit", ErrState, bit)
+			}
+			n = n<<1 | bit
 		}
-		p.ring[i] = data[i]
+		p.ring[i] = n
 	}
-	p.tick = binary.BigEndian.Uint64(data[len(p.ring):])
+	p.tick = binary.BigEndian.Uint64(data[tageBitsPerEvent*len(p.ring):])
 	p.rebuildFolds()
 	return nil
 }
@@ -617,12 +616,10 @@ func (p *TAGE) StateTables() []TableInfo {
 		})
 	}
 	histLive := 0
-	for _, b := range p.ring {
-		if b != 0 {
-			histLive++
-		}
+	for _, n := range p.ring {
+		histLive += bits.OnesCount8(n)
 	}
-	out = append(out, TableInfo{Name: "hist", Entries: len(p.ring), Live: histLive})
+	out = append(out, TableInfo{Name: "hist", Entries: tageBitsPerEvent * len(p.ring), Live: histLive})
 	return out
 }
 

@@ -1,77 +1,211 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/hash"
+	"repro/internal/trace"
 )
 
-// scratchFold computes register r's folded history from first
-// principles: the XOR of the last foldLen[r] pushed bits, bit j
-// (counting back from the newest) rotated to position j mod width.
-// This is the definition pushHistory's incremental recurrence and
-// rebuildFolds must both satisfy.
-func scratchFold(p *TAGE, r int, bits []uint8) uint32 {
-	w := p.foldWidth[r]
+// scratchFold computes register r of fold f from first principles: the
+// XOR of the last hist*tageBitsPerEvent pushed bits, bit j (counting
+// back from the newest) rotated to position j mod width. This is the
+// definition pushHistory's incremental recurrence and rebuildFolds must
+// both satisfy.
+func scratchFold(f *tageFold, r int, bits []uint8) uint32 {
+	w := uint(f.width[r])
 	var c uint32
-	for j := 0; j < int(p.foldLen[r]) && j < len(bits); j++ {
+	for j := 0; j < int(f.hist)*tageBitsPerEvent && j < len(bits); j++ {
 		c ^= uint32(bits[len(bits)-1-j]) << (uint(j) % w)
 	}
 	return c
 }
 
+// checkFolds fails t unless every folded register of p equals its
+// from-scratch fold over the shadow bit history.
+func checkFolds(t *testing.T, p *TAGE, shadow []uint8, step int) {
+	t.Helper()
+	for i := range p.folds {
+		f := &p.folds[i]
+		for r := range f.reg {
+			if want := scratchFold(f, r, shadow); f.reg[r] != want {
+				t.Fatalf("step %d table %d register %d (width %d, window %d events): incremental %#x, scratch %#x",
+					step, i, r, f.width[r], f.hist, f.reg[r], want)
+			}
+		}
+	}
+}
+
+// xorshift returns a deterministic 32-bit generator for test streams.
+func xorshift(seed uint32) func() uint32 {
+	return func() uint32 {
+		seed ^= seed << 13
+		seed ^= seed >> 17
+		seed ^= seed << 5
+		return seed
+	}
+}
+
 // TestTAGEFoldedHistoryMatchesScratch is the folded-history property
-// test: after an arbitrary interleaving of Updates and Resets, every
-// incremental folded register equals the from-scratch fold of the full
-// history window. The shadow history replicates Update's bit stream
-// (the folded stride of each update) independently of the ring.
+// test: after every step of a random interleaving of Updates, Resets
+// and snapshot round trips (AppendState into a fresh predictor's
+// RestoreState, which then carries on), every folded register equals
+// the from-scratch fold of its history window. The shadow history
+// replicates Update's bit stream (hash.Fold of each update's stride)
+// independently of the ring. The geometries cover register widths 1-3
+// (l2bits 1-3, tagBits 4), where one overflow fold per event is not
+// enough, the longest history, and the largest table count.
 func TestTAGEFoldedHistoryMatchesScratch(t *testing.T) {
-	p := NewTAGE(6, 5, 32, 5, 9, 3, 96)
-	var shadow []uint8
-	rnd := uint32(88172645)
-	next := func() uint32 {
-		rnd ^= rnd << 13
-		rnd ^= rnd >> 17
-		rnd ^= rnd << 5
-		return rnd
+	geoms := []struct {
+		name string
+		mk   func() *TAGE
+	}{
+		{"l2=5,tag9,t5,h3..96", func() *TAGE { return NewTAGE(6, 5, 32, 5, 9, 3, 96) }},
+		{"l2=1,tag4,t3,h1..16", func() *TAGE { return NewTAGE(4, 1, 32, 3, 4, 1, 16) }},
+		{"l2=2,tag4,t4,h2..max", func() *TAGE { return NewTAGE(4, 2, 8, 4, 4, 2, TAGEMaxHist) }},
+		{"l2=3,tag5,t2,h5..7", func() *TAGE { return NewTAGE(4, 3, 32, 2, 5, 5, 7) }},
+		{"l2=3,tag4,tmax,h1..max", func() *TAGE { return NewTAGE(5, 3, 8, TAGEMaxTables, 4, 1, TAGEMaxHist) }},
+		{"l2=11,tag16,tmax,h4..max", func() *TAGE { return NewTAGE(6, 11, 32, TAGEMaxTables, 16, 4, TAGEMaxHist) }},
 	}
-	for step := 0; step < 4000; step++ {
-		if step%977 == 976 { // arbitrary interleaved resets
-			p.Reset()
-			shadow = shadow[:0]
-			continue
-		}
-		pc := (next() % 64) << 2
-		value := next()
-		stride := value - p.last[(pc>>2)&p.l1mask]
-		p.Update(pc, value)
-		folded := uint32(hash.Fold(uint64(stride), tageBitsPerEvent))
-		for b := uint(0); b < tageBitsPerEvent; b++ {
-			shadow = append(shadow, uint8((folded>>b)&1))
-		}
-		if step%37 != 0 { // check a sample of steps, and always the first few
-			if step > 8 {
-				continue
+	for _, g := range geoms {
+		t.Run(g.name, func(t *testing.T) {
+			p := g.mk()
+			var shadow []uint8
+			next := xorshift(88172645)
+			for step := 0; step < 3000; step++ {
+				switch next() % 97 {
+				case 0:
+					p.Reset()
+					shadow = shadow[:0]
+				case 1, 2:
+					q := g.mk()
+					if err := q.RestoreState(p.AppendState(nil)); err != nil {
+						t.Fatal(err)
+					}
+					p = q
+				default:
+					pc := (next() % 64) << 2
+					value := next()
+					if step%3 == 0 { // keep some strides small and repeating
+						value = p.last[(pc>>2)&p.l1mask] + next()%5
+					}
+					stride := value - p.last[(pc>>2)&p.l1mask]
+					p.Update(pc, value)
+					folded := uint32(hash.Fold(uint64(stride), tageBitsPerEvent))
+					for b := uint(0); b < tageBitsPerEvent; b++ {
+						shadow = append(shadow, uint8((folded>>b)&1))
+					}
+				}
+				checkFolds(t, p, shadow, step)
+			}
+		})
+	}
+}
+
+// TestTAGEPushHistoryEveryWidth drives pushHistory alone, outside any
+// table geometry, at every register width the constructor can produce
+// (1 through 30 bits) and at window lengths from one event to
+// TAGEMaxHist, so the chunked recurrence is pinned even at widths whose
+// tables would be too large to build in a test.
+func TestTAGEPushHistoryEveryWidth(t *testing.T) {
+	next := xorshift(2463534242)
+	for w := uint8(1); w <= 30; w++ {
+		for _, h := range []uint32{1, 2, 3, 5, 64, TAGEMaxHist} {
+			p := &TAGE{ring: make([]uint8, 2*TAGEMaxHist), ringMask: 2*TAGEMaxHist - 1}
+			for _, rw := range [][3]uint8{{w, w, w}, {w, max(w, 2) - 1, min(w+1, 30)}} {
+				f := tageFold{hist: h, width: rw}
+				for r := range f.out {
+					f.out[r] = uint8(h * tageBitsPerEvent % uint32(rw[r]))
+				}
+				p.folds = append(p.folds, f)
+			}
+			var shadow []uint8
+			for step := 0; step < 3*int(h)+40; step++ {
+				nibble := next() & 0xf
+				p.pushHistory(nibble)
+				for b := uint(0); b < tageBitsPerEvent; b++ {
+					shadow = append(shadow, uint8((nibble>>b)&1))
+				}
+				checkFolds(t, p, shadow, step)
 			}
 		}
-		for r := range p.fold {
-			if want := scratchFold(p, r, shadow); p.fold[r] != want {
-				t.Fatalf("step %d register %d: incremental %#x, scratch %#x", step, r, p.fold[r], want)
+	}
+}
+
+// tageGoldenEvents is a fixed, seeded update stream over 48 PCs: a
+// third repeat one stride, a third cycle through a short stride
+// pattern, the rest take xorshift values, so the base, every tagged
+// table and the history ring all see traffic.
+func tageGoldenEvents(n int) trace.Trace {
+	out := make(trace.Trace, 0, n)
+	next := xorshift(2463534242)
+	vals := make([]uint32, 48)
+	pattern := []uint32{3, 17, 3, 250, 1 << 20}
+	for i := 0; i < n; i++ {
+		rnd := next()
+		k := int(rnd>>8) % len(vals)
+		switch k % 3 {
+		case 0:
+			vals[k] += uint32(4 * k)
+		case 1:
+			vals[k] += pattern[i%len(pattern)]
+		default:
+			vals[k] = rnd & 0xfffff
+		}
+		out = append(out, trace.Event{PC: 0x4000 + uint32(k)<<2, Value: vals[k]})
+	}
+	return out
+}
+
+// TestTAGEStateLayoutGolden pins the VPSS byte layout of TAGE state:
+// the SHA-256 of AppendState after a fixed update stream, at the
+// default-like geometry and at a narrow-stride, longest-history one
+// whose history ring wraps many times. The in-memory history
+// representation may change; these digests, and so every snapshot
+// already on disk, may not. Restoring the pinned state and continuing
+// must then match the uninterrupted run event for event.
+func TestTAGEStateLayoutGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		mk   func() *TAGE
+		want string
+	}{
+		{"l1=6,l2=5,w32,t4,tag8,h4..64", func() *TAGE { return NewTAGE(6, 5, 32, 4, 8, 4, 64) },
+			"4991e762169d8ab8affc9bd1d4e34a45889e807b915a92b26f4676a55ef971bb"},
+		{"l1=5,l2=4,w8,t6,tag6,h2..128", func() *TAGE { return NewTAGE(5, 4, 8, 6, 6, 2, TAGEMaxHist) },
+			"2d7f52dd632a2ecfd0546806360a0f6b0eb28466b499aa1c1c1855c9d8b5fc35"},
+	}
+	events := tageGoldenEvents(6000)
+	head, tail := events[:4000], events[4000:]
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.mk()
+			for _, e := range head {
+				p.Update(e.PC, e.Value)
 			}
-		}
-	}
-	// The same property must hold for registers rebuilt from a restored
-	// ring: snapshot, restore, and compare against scratch again.
-	state := p.AppendState(nil)
-	q := NewTAGE(6, 5, 32, 5, 9, 3, 96)
-	if err := q.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	for r := range q.fold {
-		if want := scratchFold(q, r, shadow); q.fold[r] != want {
-			t.Fatalf("restored register %d: rebuilt %#x, scratch %#x", r, q.fold[r], want)
-		}
+			state := p.AppendState(nil)
+			if got := fmt.Sprintf("%x", sha256.Sum256(state)); got != c.want {
+				t.Fatalf("state digest %s, want %s", got, c.want)
+			}
+			q := c.mk()
+			if err := q.RestoreState(state); err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range tail {
+				if pp, qp := p.Predict(e.PC), q.Predict(e.PC); pp != qp {
+					t.Fatalf("event %d after restore: predicts %#x, uninterrupted %#x", i, qp, pp)
+				}
+				p.Update(e.PC, e.Value)
+				q.Update(e.PC, e.Value)
+			}
+			if !bytes.Equal(p.AppendState(nil), q.AppendState(nil)) {
+				t.Fatal("restored run's final state differs from the uninterrupted run's")
+			}
+		})
 	}
 }
 
