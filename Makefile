@@ -63,8 +63,9 @@ fuzz:
 # rework's per-predictor win.
 #
 # The -zero gates are the CI alloc-regression tripwire: the build
-# fails if the steady-state engine replay, either serve dispatch
-# benchmark, or the autotune mirror-tap path reports any allocs/op.
+# fails if the steady-state engine replay, the TAGE or perfect-hybrid
+# batch loop, either serve dispatch benchmark, or the autotune
+# mirror-tap path reports any allocs/op.
 BENCH_FIG9_BASELINE_NS ?= 18681932
 BENCH_REPLAY_BASELINE_NS ?= 2049359
 BENCH_DFCM_BASELINE_NS ?= 10.74
@@ -97,6 +98,7 @@ bench:
 	    -speedup BenchmarkPredictPerfectHybrid=$(BENCH_PERFECT_BASELINE_NS) \
 	    -zero BenchmarkEngineReplay \
 	    -zero BenchmarkRunBatchTAGE \
+	    -zero BenchmarkRunBatchPerfectHybrid \
 	    -zero BenchmarkServeDispatchRunBatch \
 	    -zero BenchmarkServeDispatchPredictBatch \
 	    -zero BenchmarkServeMirrorTap

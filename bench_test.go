@@ -152,6 +152,9 @@ func BenchmarkRunBatchStride(b *testing.B) { benchRunBatch(b, core.NewStride(14)
 func BenchmarkRunBatchTAGE(b *testing.B) {
 	benchRunBatch(b, core.NewTAGE(14, 12, 32, 4, 8, 4, 64))
 }
+func BenchmarkRunBatchPerfectHybrid(b *testing.B) {
+	benchRunBatch(b, core.NewPerfectHybrid(core.NewStride(14), core.NewFCM(14, 12)))
+}
 
 // --- microbenchmarks: snapshot encode/decode ---
 //

@@ -15,8 +15,9 @@ import (
 // Scope:
 //
 //   - internal/core: bodies of the per-event methods Predict,
-//     PredictConfident, Update, Score and L2Index, plus the top-level
-//     replay drivers Run and RunBatch;
+//     PredictConfident, Update, Score and L2Index, the concrete batch
+//     loops RunBatch and RunBatchHits, plus the top-level replay
+//     drivers Run, RunBatch and RunBatchHits;
 //   - internal/hash: every Update method plus the Fold and Mask
 //     helpers (they run once per event inside FCM/DFCM updates);
 //   - internal/engine: every top-level function named replay* — the
@@ -47,7 +48,7 @@ var HotPathAlloc = &Analyzer{
 var coreHotMethods = map[string]bool{
 	"Predict": true, "PredictConfident": true, "Update": true,
 	"Score": true, "L2Index": true, "L2IndexAndUpdate": true,
-	"RunBatch": true,
+	"RunBatch": true, "RunBatchHits": true,
 }
 
 // serveHotFuncs are internal/serve's fixed-name per-frame codec
@@ -64,7 +65,7 @@ func runHotPathAlloc(pass *Pass) {
 			checkHotBody(pass, decl.Name.Name, decl.Body)
 		})
 		topLevelFuncs(pass, func(name string) bool {
-			return name == "Run" || name == "RunBatch"
+			return name == "Run" || name == "RunBatch" || name == "RunBatchHits"
 		})
 	case strings.HasSuffix(pass.Pkg.Path, "/internal/hash"):
 		methodsNamed(pass.Pkg, map[string]bool{"Update": true, "Update32": true}, func(decl *ast.FuncDecl, recvType string) {

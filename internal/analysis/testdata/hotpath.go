@@ -40,6 +40,24 @@ func (h *Hot) RunBatch(batch []uint32) int {
 	return n
 }
 
+// RunBatchHits is the mask-writing chunk loop — in scope too.
+func (h *Hot) RunBatchHits(batch []uint32, hits []uint64) int {
+	n := 0
+	for i, v := range batch {
+		if h.t[v&7] == v {
+			hits[i>>6] |= 1 << (i & 63)
+			n++
+		}
+	}
+	defer func() { _ = n }() // want hot-path-alloc
+	return n
+}
+
+// RunBatchHits, the top-level driver, is in scope like RunBatch.
+func RunBatchHits(h *Hot, batch []uint32, hits []uint64) int {
+	return reflect.ValueOf(h).Elem().NumField() + h.RunBatchHits(batch, hits) // want hot-path-alloc
+}
+
 // Name is a cold path: fmt is fine here.
 func (h *Hot) Name() string { return fmt.Sprintf("hot-%d", len(h.t)) }
 

@@ -262,6 +262,10 @@ func TestConstructorPanics(t *testing.T) {
 		{"dfcm stride width 33", func() { NewDFCMWidth(4, 8, 33) }},
 		{"delayed negative", func() { NewDelayed(NewLastValue(4), -1) }},
 		{"empty hybrid", func() { NewPerfectHybrid() }},
+		{"hybrid repeats a component", func() {
+			s := NewStride(4)
+			NewPerfectHybrid(s, NewFCM(4, 4), s)
+		}},
 	}
 	for _, c := range cases {
 		func() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -20,7 +21,13 @@ type PerfectHybrid struct {
 }
 
 // NewPerfectHybrid combines the given component predictors under a
-// perfect meta-predictor. It panics if no components are given.
+// perfect meta-predictor. It panics if no components are given or if
+// the same component appears twice. The components must also share no
+// state (no wrapper around another component, no common tables): the
+// meta-predictor never feeds one component's outcome to another, which
+// is what lets RunBatch judge each component over a whole sub-chunk on
+// its own. Components that share state score differently through
+// RunBatch than through Score.
 //
 // Size accounting: the sum of the components (a perfect
 // meta-predictor needs no storage of its own — it is an oracle).
@@ -28,20 +35,26 @@ func NewPerfectHybrid(comps ...Predictor) *PerfectHybrid {
 	if len(comps) == 0 {
 		panic("core: perfect hybrid needs at least one component")
 	}
+	for i, c := range comps {
+		for _, d := range comps[:i] {
+			if reflect.TypeOf(c).Comparable() && c == d {
+				panic("core: perfect hybrid component " + c.Name() + " given twice")
+			}
+		}
+	}
 	return &PerfectHybrid{comps: comps}
 }
 
 // Score implements Scorer: correct iff any component is correct;
-// all components are updated.
+// all components are updated. A component that is itself a Scorer (a
+// nested perfect hybrid) is judged by its own Score, so nesting
+// hybrids is the same as flattening them.
 func (p *PerfectHybrid) Score(pc, value uint32) bool {
 	correct := false
 	for _, c := range p.comps {
-		if c.Predict(pc) == value {
+		if scoreEvent(c, pc, value) {
 			correct = true
 		}
-	}
-	for _, c := range p.comps {
-		c.Update(pc, value)
 	}
 	return correct
 }

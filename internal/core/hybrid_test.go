@@ -114,3 +114,27 @@ func TestMetaHybridBetweenComponentsOnMixedTrace(t *testing.T) {
 		t.Errorf("meta hybrid %.3f above perfect hybrid %.3f", m, perfect)
 	}
 }
+
+// TestPerfectHybridNestingFlattens: a nested perfect hybrid is judged
+// by its own Score, so nesting is the same as listing every component
+// in one hybrid, event by event — through Score and through the
+// mask-based RunBatch alike.
+func TestPerfectHybridNestingFlattens(t *testing.T) {
+	tr := batchTrace(5000)
+	flat := NewPerfectHybrid(NewLastValue(8), NewStride(8), NewFCM(8, 10))
+	nested := NewPerfectHybrid(NewPerfectHybrid(NewLastValue(8), NewStride(8)), NewFCM(8, 10))
+	batched := NewPerfectHybrid(NewPerfectHybrid(NewLastValue(8), NewStride(8)), NewFCM(8, 10))
+	var want uint64
+	for i, e := range tr {
+		f := flat.Score(e.PC, e.Value)
+		if n := nested.Score(e.PC, e.Value); n != f {
+			t.Fatalf("event %d: nested Score %v, flat Score %v", i, n, f)
+		}
+		if f {
+			want++
+		}
+	}
+	if got := RunBatch(batched, tr); got.Correct != want {
+		t.Errorf("nested RunBatch correct %d, flat Score %d", got.Correct, want)
+	}
+}

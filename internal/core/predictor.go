@@ -191,6 +191,53 @@ func RunBatch(p Predictor, batch []trace.Event) Result {
 	return res
 }
 
+// scoreEvent judges and trains p on one event: Score for a Scorer,
+// otherwise Predict, compare, Update.
+func scoreEvent(p Predictor, pc, value uint32) bool {
+	if s, ok := p.(Scorer); ok {
+		return s.Score(pc, value)
+	}
+	hit := p.Predict(pc) == value
+	p.Update(pc, value)
+	return hit
+}
+
+// HitWords returns the number of uint64 words a RunBatchHits mask
+// needs for a batch of n events.
+func HitWords(n int) int { return (n + 63) / 64 }
+
+// RunBatchHits is RunBatch that also records which events hit: bit
+// i%64 of hits[i/64] is set exactly when event i was predicted
+// correctly. The first HitWords(len(batch)) words of hits are
+// overwritten (bits past the last event are zero), so one mask can be
+// reused chunk after chunk without clearing; hits must be at least
+// that long. Result and predictor state are exactly those of RunBatch.
+//
+// Stride, FCM and DFCM run concrete mask-writing loops; every other
+// predictor takes the generic per-event path (Score for a Scorer).
+// The dispatch is a type switch rather than an interface so that hits
+// never escapes: a caller's stack-allocated mask stays on the stack
+// (PerfectHybrid.RunBatch relies on that for its 0 allocs).
+func RunBatchHits(p Predictor, batch []trace.Event, hits []uint64) Result {
+	switch q := p.(type) {
+	case *Stride:
+		return q.RunBatchHits(batch, hits)
+	case *FCM:
+		return q.RunBatchHits(batch, hits)
+	case *DFCM:
+		return q.RunBatchHits(batch, hits)
+	}
+	res := Result{Predictions: uint64(len(batch))}
+	clear(hits[:HitWords(len(batch))])
+	for i, e := range batch {
+		if scoreEvent(p, e.PC, e.Value) {
+			hits[i>>6] |= 1 << (i & 63)
+			res.Correct++
+		}
+	}
+	return res
+}
+
 // pcIndex maps a program counter to a table index of the given width.
 // MR32 instructions are 4-byte aligned (as on the paper's MIPS
 // target), so the two always-zero low bits are dropped first; without

@@ -12,6 +12,8 @@
 //     configuration from that single pass in event chunks (the chunk
 //     stays hot in cache while each predictor consumes it, and the
 //     per-event Source.Next dispatch is gone — see core.RunBatch);
+//   - scores perfect-meta hybrids (Sweep.AddAny) from their component
+//     configurations' per-event hit masks instead of replaying them;
 //   - schedules all work units on one bounded worker pool sized by
 //     GOMAXPROCS, replacing the unbounded per-benchmark fan-out;
 //   - fetches traces through a TraceCache whose per-key singleflight
@@ -69,12 +71,15 @@ type Options struct {
 // sweep consumes it.
 const defaultChunk = 4096
 
-// Job is one predictor configuration registered with a sweep. After
+// Job is one predictor configuration registered with a sweep (Add),
+// or a perfect-meta hybrid over several of them (AddAny). After
 // Sweep.Run returns nil, its accessors expose the per-benchmark
 // results.
 type Job struct {
-	mk  func() core.Predictor
-	per []metrics.BenchResult
+	mk    func() core.Predictor // nil for an AddAny job
+	comps []*Job                // AddAny: the component jobs
+	slot  int                   // Add: index in Sweep.jobs
+	per   []metrics.BenchResult
 }
 
 // PerBench returns the job's results in the sweep's benchmark order.
@@ -86,17 +91,19 @@ func (j *Job) PerBench() []metrics.BenchResult { return j.per }
 func (j *Job) Weighted() float64 { return metrics.WeightedMean(j.per) }
 
 // Sweep collects work over a fixed benchmark list, then executes all
-// of it in one Run. Three kinds of work are supported: predictor
-// configurations (Add) share a single chunked replay per benchmark;
-// per-benchmark trace scans (AddScan) and free-form tasks (AddTask)
-// run as their own units on the same pool. A Sweep is not safe for
-// concurrent registration; Run may be called once.
+// of it in one Run. Four kinds of work are supported: predictor
+// configurations (Add) and perfect-meta hybrids over them (AddAny)
+// share a single chunked replay per benchmark; per-benchmark trace
+// scans (AddScan) and free-form tasks (AddTask) run as their own units
+// on the same pool. A Sweep is not safe for concurrent registration;
+// Run may be called once.
 type Sweep struct {
 	opts    Options
 	cache   *TraceCache
 	benches []string
 	budget  uint64
 	jobs    []*Job
+	anys    []*Job
 	scans   []func(i int, bench string, tr trace.Trace) error
 	tasks   []func() error
 }
@@ -115,8 +122,32 @@ func NewSweep(opts Options, cache *TraceCache, benchmarks []string, budget uint6
 // benchmark, possibly concurrently, and must return a fresh
 // independent predictor each time.
 func (s *Sweep) Add(mk func() core.Predictor) *Job {
-	j := &Job{mk: mk}
+	j := &Job{mk: mk, slot: len(s.jobs)}
 	s.jobs = append(s.jobs, j)
+	return j
+}
+
+// AddAny registers a perfect-meta hybrid over jobs already registered
+// with Add on this sweep: an event counts as correct when any
+// component predicted it, as in core.PerfectHybrid. The job runs no
+// predictor of its own. Its components record per-event hit masks
+// during the shared replay and the job counts the OR of those masks,
+// which is exact because a perfect meta-predictor never feeds one
+// component's outcome to another. In Reference mode the job replays a
+// real core.PerfectHybrid built from the components' factories. AddAny
+// panics on no components or on a component that is not an Add job of
+// this sweep.
+func (s *Sweep) AddAny(comps ...*Job) *Job {
+	if len(comps) == 0 {
+		panic("engine: AddAny needs at least one component")
+	}
+	for _, c := range comps {
+		if c.mk == nil || c.slot >= len(s.jobs) || s.jobs[c.slot] != c {
+			panic("engine: AddAny component is not an Add job of this sweep")
+		}
+	}
+	j := &Job{comps: comps}
+	s.anys = append(s.anys, j)
 	return j
 }
 
@@ -140,6 +171,9 @@ func (s *Sweep) AddTask(fn func() error) {
 // returning the first error in unit submission order.
 func (s *Sweep) Run() error {
 	for _, j := range s.jobs {
+		j.per = make([]metrics.BenchResult, len(s.benches))
+	}
+	for _, j := range s.anys {
 		j.per = make([]metrics.BenchResult, len(s.benches))
 	}
 	var units []func() error
@@ -176,7 +210,8 @@ func (s *Sweep) Run() error {
 }
 
 // replayBench is one work unit: all predictor configurations of the
-// sweep over one benchmark, from a single pass over its trace.
+// sweep, and the any-jobs over them, for one benchmark from a single
+// pass over its trace.
 func (s *Sweep) replayBench(bi int) error {
 	bench := s.benches[bi]
 	tr, err := s.cache.Get(bench, s.budget)
@@ -189,15 +224,28 @@ func (s *Sweep) replayBench(bi int) error {
 	}
 	var results []core.Result
 	if s.opts.Reference {
-		results = make([]core.Result, len(s.jobs))
+		results = make([]core.Result, len(s.jobs), len(s.jobs)+len(s.anys))
 		for ji, p := range preds {
 			results[ji] = core.Run(p, trace.NewReader(tr))
+		}
+		for _, a := range s.anys {
+			comps := make([]core.Predictor, len(a.comps))
+			for i, c := range a.comps {
+				comps[i] = c.mk()
+			}
+			results = append(results, core.Run(core.NewPerfectHybrid(comps...), trace.NewReader(tr)))
 		}
 	} else {
 		// The one-shot offline replay is the streaming core fed the
 		// whole trace: Feed chunks it at ChunkSize internally, so this
 		// is byte-identical to the pre-Stream replayChunks call.
-		st := NewStream(preds, s.opts.ChunkSize)
+		anys := make([][]int, len(s.anys))
+		for k, a := range s.anys {
+			for _, c := range a.comps {
+				anys[k] = append(anys[k], c.slot)
+			}
+		}
+		st := newAnyStream(preds, anys, s.opts.ChunkSize)
 		if fs := s.opts.FeedSize; fs > 0 {
 			for start := 0; start < len(tr); start += fs {
 				end := start + fs
@@ -213,6 +261,9 @@ func (s *Sweep) replayBench(bi int) error {
 	}
 	for ji, j := range s.jobs {
 		j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: results[ji]}
+	}
+	for k, j := range s.anys {
+		j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: results[len(s.jobs)+k]}
 	}
 	return nil
 }

@@ -115,6 +115,93 @@ func TestReferenceModeMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestSweepAddAnyMatchesPerfectHybrid: an AddAny job scored from its
+// components' hit masks equals a real core.PerfectHybrid over fresh
+// copies of the components, per benchmark, at chunk sizes below, at
+// and above a mask word, with incremental feeds, and in Reference
+// mode. The component jobs themselves, now replayed through
+// RunBatchHits, keep their plain per-event results.
+func TestSweepAddAnyMatchesPerfectHybrid(t *testing.T) {
+	tr := synthTrace(9_000)
+	benches := []string{"a", "b"}
+	comps := []func() core.Predictor{
+		func() core.Predictor { return core.NewStride(8) },
+		func() core.Predictor { return core.NewFCM(8, 10) },
+		func() core.Predictor { return core.NewDFCM(8, 6) },
+		func() core.Predictor { return core.NewLastValue(8) },
+		// A hybrid component reaches RunBatchHits through its Scorer path.
+		func() core.Predictor { return core.NewPerfectHybrid(core.NewLastValue(8), core.NewFCM(8, 8)) },
+	}
+	anys := [][]int{{0, 1}, {0, 2}, {1}, {3, 0, 2}, {4, 0}}
+	for _, opts := range []Options{
+		{ChunkSize: 1}, {ChunkSize: 63}, {ChunkSize: 64}, {ChunkSize: 4096},
+		{ChunkSize: 64, FeedSize: 509}, {FeedSize: 1000}, {Reference: true},
+	} {
+		s := NewSweep(opts, NewTraceCache(synthGen(tr)), benches, 0)
+		compJobs := make([]*Job, len(comps))
+		for i, mk := range comps {
+			compJobs[i] = s.Add(mk)
+		}
+		var got, hybrids []*Job
+		for _, members := range anys {
+			var js []*Job
+			for _, c := range members {
+				js = append(js, compJobs[c])
+			}
+			members := members
+			got = append(got, s.AddAny(js...))
+			hybrids = append(hybrids, s.Add(func() core.Predictor {
+				ps := make([]core.Predictor, len(members))
+				for i, c := range members {
+					ps[i] = comps[c]()
+				}
+				return core.NewPerfectHybrid(ps...)
+			}))
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for k := range anys {
+			for bi := range benches {
+				if g, w := got[k].PerBench()[bi], hybrids[k].PerBench()[bi]; g != w {
+					t.Errorf("%+v any-set %d bench %d: AddAny %+v, PerfectHybrid %+v", opts, k, bi, g, w)
+				}
+			}
+		}
+		for i, mk := range comps {
+			want := core.Run(mk(), trace.NewReader(tr))
+			for bi := range benches {
+				if g := compJobs[i].PerBench()[bi].Result; g != want {
+					t.Errorf("%+v component %d bench %d: got %+v want %+v", opts, i, bi, g, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAddAnyRejectsForeignJobs: AddAny takes only Add jobs of its own
+// sweep.
+func TestAddAnyRejectsForeignJobs(t *testing.T) {
+	cache := NewTraceCache(synthGen(synthTrace(10)))
+	s := NewSweep(Options{}, cache, []string{"a"}, 0)
+	other := NewSweep(Options{}, cache, []string{"a"}, 0)
+	st := s.Add(func() core.Predictor { return core.NewStride(4) })
+	for name, comps := range map[string][]*Job{
+		"none":    nil,
+		"foreign": {other.Add(func() core.Predictor { return core.NewStride(4) })},
+		"any-job": {s.AddAny(st)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AddAny did not panic", name)
+				}
+			}()
+			s.AddAny(comps...)
+		}()
+	}
+}
+
 // TestTraceCacheCoalescesDuplicates: concurrent Gets for the same key
 // share one generator run.
 func TestTraceCacheCoalescesDuplicates(t *testing.T) {
@@ -294,7 +381,7 @@ func BenchmarkEngineReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replayChunks(preds, results, tr, defaultChunk)
+		replayChunks(preds, nil, nil, results, tr, defaultChunk)
 	}
 	b.ReportMetric(float64(len(tr)*len(preds)), "events/op")
 }

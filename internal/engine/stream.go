@@ -24,6 +24,8 @@ import (
 // Feed it.
 type Stream struct {
 	preds   []core.Predictor
+	hits    [][]uint64 // per-predictor chunk hit mask; nil unless an any-set reads it
+	anys    [][]int    // perfect-meta any-sets over preds (see replayChunks)
 	results []core.Result
 	chunk   int
 	done    bool
@@ -35,14 +37,34 @@ type Stream struct {
 // selects the engine default. The predictors are owned by the stream
 // until a caller takes them back with Predictor.
 func NewStream(preds []core.Predictor, chunkSize int) *Stream {
+	return newAnyStream(preds, nil, chunkSize)
+}
+
+// newAnyStream is NewStream plus perfect-meta any-sets: anys[k] lists
+// indices into preds, and the stream's results gain one entry per
+// any-set after the per-predictor ones. Only the predictors an any-set
+// names get a hit mask, so the rest keep the plain RunBatch loop.
+func newAnyStream(preds []core.Predictor, anys [][]int, chunkSize int) *Stream {
 	if chunkSize <= 0 {
 		chunkSize = defaultChunk
 	}
-	return &Stream{
+	s := &Stream{
 		preds:   preds,
-		results: make([]core.Result, len(preds)),
+		anys:    anys,
+		results: make([]core.Result, len(preds)+len(anys)),
 		chunk:   chunkSize,
 	}
+	if len(anys) > 0 {
+		s.hits = make([][]uint64, len(preds))
+		for _, members := range anys {
+			for _, c := range members {
+				if s.hits[c] == nil {
+					s.hits[c] = make([]uint64, core.HitWords(chunkSize))
+				}
+			}
+		}
+	}
+	return s
 }
 
 // Feed replays one slice of events through every predictor, in order,
@@ -53,13 +75,13 @@ func (s *Stream) Feed(events []trace.Event) {
 	if s.done {
 		panic("engine: Stream.Feed after Finalize")
 	}
-	replayChunks(s.preds, s.results, events, s.chunk)
+	replayChunks(s.preds, s.hits, s.anys, s.results, events, s.chunk)
 }
 
 // Results returns the running per-predictor results accumulated so
-// far, aliasing the stream's storage: valid snapshot between Feed
-// calls, overwritten by the next Feed. Callers needing a stable copy
-// must take one.
+// far, then one per any-set, aliasing the stream's storage: valid
+// snapshot between Feed calls, overwritten by the next Feed. Callers
+// needing a stable copy must take one.
 func (s *Stream) Results() []core.Result { return s.results }
 
 // Predictor returns the i'th predictor with its state as trained by

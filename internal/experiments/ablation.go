@@ -91,15 +91,18 @@ func runAblationMeta(cfg Config) (*Result, error) {
 	t := &metrics.Table{Headers: []string{"log2(l2)", "DFCM", "perfect hybrid", "counter hybrid"}}
 	l2s := []uint{10, 12, 14}
 	s := newSweep(cfg)
+	// The perfect hybrid is scored from its components' hit masks
+	// (AddAny). The counter hybrid stays a real predictor: its selector
+	// reads both components' outcomes, so they do not train alone.
+	st := s.Add(func() core.Predictor { return core.NewStride(16) })
 	type trio struct{ d, ph, mh *engine.Job }
 	trios := make([]trio, len(l2s))
 	for i, l2 := range l2s {
 		l2 := l2
+		f := s.Add(func() core.Predictor { return core.NewFCM(16, l2) })
 		trios[i] = trio{
-			d: s.Add(func() core.Predictor { return core.NewDFCM(16, l2) }),
-			ph: s.Add(func() core.Predictor {
-				return core.NewPerfectHybrid(core.NewStride(16), core.NewFCM(16, l2))
-			}),
+			d:  s.Add(func() core.Predictor { return core.NewDFCM(16, l2) }),
+			ph: s.AddAny(st, f),
 			mh: s.Add(func() core.Predictor {
 				return core.NewMetaHybrid(core.NewStride(16), core.NewFCM(16, l2), 16)
 			}),

@@ -17,20 +17,18 @@ func runFig16(cfg Config) (*Result, error) {
 	var xs []float64
 	ys := make([][]float64, 4)
 	s := newSweep(cfg)
+	// The hybrids' components are the plain FCM/DFCM columns plus one
+	// shared stride job: a perfect meta-predictor leaves every
+	// component to train on its own, so AddAny scores each hybrid from
+	// its components' hit masks instead of replaying it.
+	st := s.Add(func() core.Predictor { return core.NewStride(16) })
 	type row struct{ f, d, sf, sd *engine.Job }
 	rows := make([]row, len(l2Sweep))
 	for i, l2 := range l2Sweep {
 		l2 := l2
-		rows[i] = row{
-			f: s.Add(func() core.Predictor { return core.NewFCM(16, l2) }),
-			d: s.Add(func() core.Predictor { return core.NewDFCM(16, l2) }),
-			sf: s.Add(func() core.Predictor {
-				return core.NewPerfectHybrid(core.NewStride(16), core.NewFCM(16, l2))
-			}),
-			sd: s.Add(func() core.Predictor {
-				return core.NewPerfectHybrid(core.NewStride(16), core.NewDFCM(16, l2))
-			}),
-		}
+		f := s.Add(func() core.Predictor { return core.NewFCM(16, l2) })
+		d := s.Add(func() core.Predictor { return core.NewDFCM(16, l2) })
+		rows[i] = row{f: f, d: d, sf: s.AddAny(st, f), sd: s.AddAny(st, d)}
 	}
 	if err := s.Run(); err != nil {
 		return nil, err

@@ -75,6 +75,11 @@ var (
 	// increasing stride-history lengths.
 	NewTAGE = core.NewTAGE
 	// NewPerfectHybrid combines components under an oracle selector.
+	// The components must be distinct and share no state: RunBatch
+	// runs each one over a whole sub-chunk on its own, so a component
+	// wrapping another one (NewHashTag(d, ...) next to d) scores
+	// differently there than per event. Passing the same component
+	// twice panics.
 	NewPerfectHybrid = core.NewPerfectHybrid
 	// NewMetaHybrid combines two components under counter selection.
 	NewMetaHybrid = core.NewMetaHybrid
