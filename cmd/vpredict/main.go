@@ -1,13 +1,14 @@
 // Command vpredict runs one value predictor configuration over a
 // trace (from a VTR1 file or generated from a benchmark) and reports
-// its accuracy and size.
+// its accuracy and size. The -spec flag takes core.ParseSpec's colon
+// form, kind:l1[:l2[:width[:delay[:tables[:tag[:hmin[:hmax]]]]]]].
 //
 // Usage:
 //
-//	vpredict -bench li -predictor dfcm -l1 16 -l2 12
-//	vpredict -trace li.vtr -predictor stride -l1 14
-//	vpredict -bench ijpeg -predictor dfcm -l1 16 -l2 12 -width 8 -delay 64
-//	vpredict -bench li -predictor tage -l1 13 -l2 10 -tables 4 -tag 8 -hmin 4 -hmax 64
+//	vpredict -bench li -spec dfcm:16:12
+//	vpredict -trace li.vtr -spec stride:14
+//	vpredict -bench ijpeg -spec dfcm:16:12:8:64
+//	vpredict -bench li -spec tage:13:10:32:0:4:8:4:64
 package main
 
 import (
@@ -24,16 +25,16 @@ func main() {
 	traceFile := flag.String("trace", "", "VTR1 trace file to replay")
 	bench := flag.String("bench", "", "benchmark to trace on the fly")
 	budget := flag.Uint64("budget", 1_000_000, "instruction budget when tracing a benchmark")
-	kind := flag.String("predictor", "dfcm", "lvp | stride | 2delta | fcm | dfcm | hybrid | tage")
-	l1 := flag.Uint("l1", 16, "log2 of the level-1 (or only) table entries")
-	l2 := flag.Uint("l2", 12, "log2 of the level-2 table entries (fcm/dfcm/hybrid); log2 entries per tagged table (tage)")
-	width := flag.Uint("width", 32, "stored stride width in bits (dfcm/tage)")
-	delay := flag.Int("delay", 0, "update delay in predictions")
-	tables := flag.Uint("tables", 0, "tagged-table count (tage); 0 = default 4")
-	tag := flag.Uint("tag", 0, "partial-tag width in bits (tage); 0 = default 8")
-	hmin := flag.Uint("hmin", 0, "shortest history length in events (tage); 0 = default 4")
-	hmax := flag.Uint("hmax", 0, "longest history length in events (tage); 0 = default 64")
+	specFlag := flag.String("spec", "dfcm:16:12", "predictor spec kind:l1[:l2[:width[:delay[:tables[:tag[:hmin[:hmax]]]]]]]; kind is lvp | stride | 2delta | fcm | dfcm | hybrid | tage")
 	flag.Parse()
+
+	// The spec grammar is the one cmd/vpserve uses, so an offline run
+	// with the same -spec reproduces a served session's hit counts.
+	spec, err := core.ParseSpec(*specFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vpredict:", err)
+		os.Exit(2)
+	}
 
 	tr, err := loadTrace(*traceFile, *bench, *budget)
 	if err != nil {
@@ -41,12 +42,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The spec is the same mapping cmd/vpserve uses, so an offline run
-	// with these flags reproduces a served session's hit counts.
-	spec := core.Spec{
-		Kind: *kind, L1: *l1, L2: *l2, Width: *width, Delay: *delay,
-		Tables: *tables, Tag: *tag, HistMin: *hmin, HistMax: *hmax,
-	}
 	p, err := spec.New()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vpredict:", err)

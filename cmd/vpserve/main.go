@@ -1,15 +1,16 @@
 // Command vpserve serves the internal/core value predictors over the
 // VP1 wire protocol: per-session predictor state, a sharded engine,
 // and an optional HTTP stats endpoint. The predictor configuration
-// uses the same flags as cmd/vpredict, so an offline replay with
-// identical flags reproduces a session's hit counts exactly.
+// is the same -spec flag as cmd/vpredict's (core.ParseSpec's colon
+// form), so an offline replay with an identical -spec reproduces a
+// session's hit counts exactly.
 //
 // Usage:
 //
-//	vpserve -addr :9177 -predictor dfcm -l1 16 -l2 12
-//	vpserve -addr :9177 -http :9178 -shards 8 -predictor hybrid -l1 14 -l2 12
-//	vpserve -addr :9177 -predictor dfcm -checkpoint-dir /var/lib/vpserve -checkpoint-interval 30s
-//	vpserve -addr :9177 -predictor tage -l1 13 -l2 10 -tables 4 -tag 8 -hmin 4 -hmax 64
+//	vpserve -addr :9177 -spec dfcm:16:12
+//	vpserve -addr :9177 -http :9178 -shards 8 -spec hybrid:14:12
+//	vpserve -addr :9177 -spec dfcm:16:12 -checkpoint-dir /var/lib/vpserve -checkpoint-interval 30s
+//	vpserve -addr :9177 -spec tage:13:10:32:0:4:8:4:64
 //
 // SIGINT/SIGTERM drain the server gracefully: the listener closes
 // immediately, connected clients are served until they disconnect or
@@ -21,16 +22,17 @@
 // on graceful drain; the next boot with the same flags warm-starts
 // those sessions — tables, confidence counters and lifetime stats —
 // so a restart costs no cold-start accuracy. Snapshots whose
-// predictor spec does not match the current flags are skipped, not
-// loaded wrong.
+// predictor spec is not canonically equal to the current -spec are
+// skipped, not loaded wrong.
 //
-// With -autotune, an online tuner (internal/autotune) shadows a
-// sampled fraction of each session's training traffic through the
-// -autotune-candidates specs and hot-swaps a session's predictor when
-// a candidate beats its incumbent by the hysteresis margin:
+// With a non-empty -autotune-candidates list, an online tuner
+// (internal/autotune) shadows a sampled fraction of each session's
+// training traffic through the candidate specs and hot-swaps a
+// session's predictor when a candidate beats its incumbent by the
+// hysteresis margin:
 //
-//	vpserve -addr :9177 -predictor dfcm -l1 10 -l2 10 \
-//	    -autotune -autotune-candidates "dfcm:14:12,dfcm:12:10:16,stride:14"
+//	vpserve -addr :9177 -spec dfcm:10:10 \
+//	    -autotune-candidates "dfcm:14:12,dfcm:12:10:16,stride:14"
 //
 // Tuner counters and per-session shadow scores are served as JSON on
 // the HTTP listener's /autotune endpoint. Autotuned servers adopt
@@ -49,6 +51,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -60,12 +63,11 @@ import (
 type options struct {
 	addr     string
 	httpAddr string
-	spec     core.Spec
+	spec     string
 	engine   serve.Config
 	server   serve.ServerConfig
 	drain    time.Duration
 
-	autotune     bool
 	atCandidates string
 	atObjective  string
 	atSample     float64
@@ -80,15 +82,7 @@ func parseFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":9177", "TCP listen address for the predictor protocol")
 	fs.StringVar(&o.httpAddr, "http", "", "optional HTTP listen address for JSON stats (empty disables)")
-	fs.StringVar(&o.spec.Kind, "predictor", "dfcm", "lvp | stride | 2delta | fcm | dfcm | hybrid | tage")
-	fs.UintVar(&o.spec.L1, "l1", 16, "log2 of the level-1 (or only) table entries")
-	fs.UintVar(&o.spec.L2, "l2", 12, "log2 of the level-2 table entries (fcm/dfcm/hybrid); log2 entries per tagged table (tage)")
-	fs.UintVar(&o.spec.Width, "width", 32, "stored stride width in bits (dfcm/tage)")
-	fs.IntVar(&o.spec.Delay, "delay", 0, "update delay in predictions")
-	fs.UintVar(&o.spec.Tables, "tables", 0, "tagged-table count (tage); 0 = default 4")
-	fs.UintVar(&o.spec.Tag, "tag", 0, "partial-tag width in bits (tage); 0 = default 8")
-	fs.UintVar(&o.spec.HistMin, "hmin", 0, "shortest history length in events (tage); 0 = default 4")
-	fs.UintVar(&o.spec.HistMax, "hmax", 0, "longest history length in events (tage); 0 = default 64")
+	fs.StringVar(&o.spec, "spec", "dfcm:16:12", "predictor spec kind:l1[:l2[:width[:delay[:tables[:tag[:hmin[:hmax]]]]]]]; kind is lvp | stride | 2delta | fcm | dfcm | hybrid | tage")
 	fs.IntVar(&o.engine.Shards, "shards", 0, "shard goroutines (0 = GOMAXPROCS)")
 	fs.IntVar(&o.engine.MailboxDepth, "mailbox", 128, "bounded queue depth per shard")
 	fs.IntVar(&o.engine.MaxSessions, "max-sessions", 4096, "live session cap across shards")
@@ -98,8 +92,7 @@ func parseFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.server.WriteTimeout, "write-timeout", 10*time.Second, "per-response write deadline")
 	fs.IntVar(&o.server.MaxFrame, "max-frame", serve.DefaultMaxFrame, "maximum request frame payload in bytes")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful drain timeout on SIGINT/SIGTERM")
-	fs.BoolVar(&o.autotune, "autotune", false, "enable the online autotuner (shadow-evaluates -autotune-candidates and hot-swaps winners)")
-	fs.StringVar(&o.atCandidates, "autotune-candidates", "", "comma-separated candidate specs, kind:l1[:l2[:width[:delay[:tables[:tag[:hmin[:hmax]]]]]]] (required with -autotune)")
+	fs.StringVar(&o.atCandidates, "autotune-candidates", "", "comma-separated candidate specs in the -spec form; non-empty enables the online autotuner, which shadow-evaluates them and hot-swaps winners")
 	fs.StringVar(&o.atObjective, "autotune-objective", "accuracy", "promotion objective: accuracy | efficiency (accuracy per Kbit)")
 	fs.Float64Var(&o.atSample, "autotune-sample", 1, "fraction of training batches mirrored to the tuner, in (0,1]")
 	fs.Uint64Var(&o.atSeed, "autotune-seed", 0, "sampling hash seed (fixed seed = reproducible mirrored subsequence)")
@@ -108,30 +101,50 @@ func parseFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
+// parseCandidates parses the -autotune-candidates list: comma-separated
+// specs in the -spec form. Whitespace around entries is ignored and
+// empty entries are rejected (a trailing comma is almost certainly a
+// typo).
+func parseCandidates(s string) ([]core.Spec, error) {
+	var specs []core.Spec
+	for _, ent := range strings.Split(s, ",") {
+		ent = strings.TrimSpace(ent)
+		if ent == "" {
+			return nil, fmt.Errorf("autotune: empty candidate entry in %q", s)
+		}
+		spec, err := core.ParseSpec(ent)
+		if err != nil {
+			return nil, fmt.Errorf("autotune: candidate %w", err)
+		}
+		specs = append(specs, spec)
+	}
+	return specs, nil
+}
+
 // newServer validates the options and builds the engine, server and
-// (with -autotune) the tuner, warm-starting from the checkpoint
-// directory when one is configured. The returned tuner is nil when
-// autotuning is off; callers owning the drain path must Close it
-// before shutting the server down.
+// (with -autotune-candidates) the tuner, warm-starting from the
+// checkpoint directory when one is configured. The returned tuner is
+// nil when autotuning is off; callers owning the drain path must Close
+// it before shutting the server down.
 func newServer(o *options) (*serve.Server, *autotune.Tuner, error) {
-	// Probe the spec once so a bad flag combination fails at startup,
-	// not on the first session.
-	if _, err := o.spec.New(); err != nil {
-		return nil, nil, fmt.Errorf("predictor spec: %w", err)
+	// Parsing validates the spec, so a bad flag fails at startup, not
+	// on the first session.
+	spec, err := core.ParseSpec(o.spec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("predictor %w", err)
 	}
 	var candidates []core.Spec
-	if o.autotune {
-		var err error
-		if candidates, err = autotune.ParseSpecs(o.atCandidates); err != nil {
+	if o.atCandidates != "" {
+		if candidates, err = parseCandidates(o.atCandidates); err != nil {
 			return nil, nil, err
 		}
 	}
 	cfg := o.engine
-	cfg.Spec = o.spec // the engine derives NewPredictor from it
+	cfg.Spec = spec
 	// An autotuned server's sessions drift from the boot spec by
 	// hot-swap; adopting snapshot specs on warm start keeps a swapped
 	// session's configuration across a restart.
-	cfg.AdoptSnapshotSpecs = o.autotune
+	cfg.AdoptSnapshotSpecs = candidates != nil
 	engine, err := serve.NewEngine(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -147,10 +160,10 @@ func newServer(o *options) (*serve.Server, *autotune.Tuner, error) {
 		}
 	}
 	var tuner *autotune.Tuner
-	if o.autotune {
+	if candidates != nil {
 		tuner, err = autotune.New(autotune.Config{
 			Engine:     engine,
-			Boot:       o.spec,
+			Boot:       spec,
 			Candidates: candidates,
 			Objective:  o.atObjective,
 			SampleRate: o.atSample,

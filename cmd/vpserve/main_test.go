@@ -28,9 +28,10 @@ func optionsFromArgs(t *testing.T, args ...string) *options {
 
 func TestNewServerRejectsBadSpec(t *testing.T) {
 	for _, args := range [][]string{
-		{"-predictor", "oracle"},
-		{"-predictor", "dfcm", "-l1", "60"},
-		{"-predictor", "dfcm", "-width", "99"},
+		{"-spec", "oracle:4"},
+		{"-spec", "dfcm:60:12"},
+		{"-spec", "dfcm:16:12:99"},
+		{"-spec", ""},
 	} {
 		if _, _, err := newServer(optionsFromArgs(t, args...)); err == nil {
 			t.Errorf("args %v accepted", args)
@@ -38,14 +39,115 @@ func TestNewServerRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// TestSpecFlagMatchesOldFlags maps the per-field flags -spec replaced
+// (-predictor/-l1/-l2/-width/-delay/-tables/-tag/-hmin/-hmax, shown
+// here as the spec they built, unset flags at their old defaults) to
+// the -spec string that builds a canonically equal spec. Canonical
+// equality is what checkpoint warm start compares, so a checkpoint
+// directory written under the old flags still warm-starts.
+func TestSpecFlagMatchesOldFlags(t *testing.T) {
+	cases := []struct {
+		old  core.Spec // what the old flags built
+		args []string  // the equivalent -spec, if any
+	}{
+		// No flags at all: the old defaults were -predictor dfcm -l1 16
+		// -l2 12 -width 32.
+		{core.Spec{Kind: "dfcm", L1: 16, L2: 12, Width: 32}, nil},
+		{core.Spec{Kind: "dfcm", L1: 16, L2: 12, Width: 32}, []string{"-spec", "dfcm:16:12"}},
+		// -predictor dfcm -l1 10 -l2 10
+		{core.Spec{Kind: "dfcm", L1: 10, L2: 10, Width: 32}, []string{"-spec", "dfcm:10:10"}},
+		// -predictor dfcm -l1 16 -l2 12 -width 8 -delay 64
+		{core.Spec{Kind: "dfcm", L1: 16, L2: 12, Width: 8, Delay: 64}, []string{"-spec", "dfcm:16:12:8:64"}},
+		// -predictor dfcm -l1 16 -l2 12 -delay 1024
+		{core.Spec{Kind: "dfcm", L1: 16, L2: 12, Width: 32, Delay: 1024}, []string{"-spec", "dfcm:16:12:32:1024"}},
+		// -predictor stride -l1 14 (l2 and width defaults ignored)
+		{core.Spec{Kind: "stride", L1: 14, L2: 12, Width: 32}, []string{"-spec", "stride:14"}},
+		// -predictor hybrid -l1 14 -l2 12
+		{core.Spec{Kind: "hybrid", L1: 14, L2: 12, Width: 32}, []string{"-spec", "hybrid:14:12"}},
+		// -predictor tage -l1 13 -l2 10 (default geometry)
+		{core.Spec{Kind: "tage", L1: 13, L2: 10, Width: 32}, []string{"-spec", "tage:13:10"}},
+		// -predictor tage -l1 13 -l2 10 -tables 4 -tag 8 -hmin 4 -hmax 64
+		{core.Spec{Kind: "tage", L1: 13, L2: 10, Width: 32, Tables: 4, Tag: 8, HistMin: 4, HistMax: 64},
+			[]string{"-spec", "tage:13:10:32:0:4:8:4:64"}},
+		// -predictor tage -l1 10 -l2 8 -width 16 -delay 2 -tables 6 -tag 10 -hmin 2 -hmax 96
+		{core.Spec{Kind: "tage", L1: 10, L2: 8, Width: 16, Delay: 2, Tables: 6, Tag: 10, HistMin: 2, HistMax: 96},
+			[]string{"-spec", "tage:10:8:16:2:6:10:2:96"}},
+	}
+	for _, c := range cases {
+		o := optionsFromArgs(t, c.args...)
+		got, err := core.ParseSpec(o.spec)
+		if err != nil {
+			t.Errorf("args %v: %v", c.args, err)
+			continue
+		}
+		if got.Canonical() != c.old.Canonical() {
+			t.Errorf("args %v: canonical %+v, old flags built %+v", c.args, got.Canonical(), c.old.Canonical())
+		}
+	}
+}
+
+// TestOldDefaultCheckpointWarmStarts: a checkpoint directory written by
+// an engine on the old default flags' spec (-predictor dfcm -l1 16
+// -l2 12 -width 32) warm-starts a server booted on the default -spec.
+func TestOldDefaultCheckpointWarmStarts(t *testing.T) {
+	dir := t.TempDir()
+	old, err := serve.NewEngine(serve.Config{
+		Spec: core.Spec{Kind: "dfcm", L1: 16, L2: 12, Width: 32}, Shards: 1, CheckpointDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st := old.RunBatch(7, restartEvents(300)); st != serve.StatusOK {
+		t.Fatalf("RunBatch: %v", st)
+	}
+	old.Close() // drain checkpoint
+
+	_, srv, _, shutdown := bootServer(t, "-checkpoint-dir", dir, "-checkpoint-interval", "0")
+	defer shutdown()
+	if st := srv.Engine().Snapshot(); st.Restored != 1 || st.Predictions != 300 {
+		t.Errorf("default -spec restored %d sessions with %d predictions, want 1 with 300", st.Restored, st.Predictions)
+	}
+}
+
+// TestParseCandidates: the -autotune-candidates list trims whitespace
+// around entries and rejects empty entries; each entry is a -spec.
+func TestParseCandidates(t *testing.T) {
+	got, err := parseCandidates("dfcm:12:10, dfcm:14:12:16 ,stride:14,lvp:8,dfcm:10:8:32:4,tage:10:8,tage:10:8:32:0:6:10:2:96")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.Spec{
+		{Kind: "dfcm", L1: 12, L2: 10},
+		{Kind: "dfcm", L1: 14, L2: 12, Width: 16},
+		{Kind: "stride", L1: 14},
+		{Kind: "lvp", L1: 8},
+		{Kind: "dfcm", L1: 10, L2: 8, Width: 32, Delay: 4},
+		{Kind: "tage", L1: 10, L2: 8},
+		{Kind: "tage", L1: 10, L2: 8, Width: 32, Tables: 6, Tag: 10, HistMin: 2, HistMax: 96},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d specs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("spec %d: %#v, want %#v", i, got[i], want[i])
+		}
+	}
+	for _, bad := range []string{"", " ", "dfcm:12:10,", ",dfcm:12:10", "dfcm:12:10,,stride:8", "dfcm:12:10,nope:4"} {
+		if _, err := parseCandidates(bad); err == nil {
+			t.Errorf("parseCandidates(%q) accepted", bad)
+		}
+	}
+}
+
 func TestServerBootAndServe(t *testing.T) {
-	o := optionsFromArgs(t, "-predictor", "dfcm", "-l1", "10", "-l2", "10", "-shards", "2")
+	o := optionsFromArgs(t, "-spec", "dfcm:10:10", "-shards", "2")
 	srv, tuner, err := newServer(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tuner != nil {
-		t.Fatal("tuner built without -autotune")
+		t.Fatal("tuner built without -autotune-candidates")
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -141,7 +243,7 @@ func restartEvents(n int) trace.Trace {
 // cold-start accuracy loss across the restart.
 func TestCheckpointRestart(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-predictor", "dfcm", "-l1", "8", "-l2", "10", "-shards", "2",
+	args := []string{"-spec", "dfcm:8:10", "-shards", "2",
 		"-checkpoint-dir", dir, "-checkpoint-interval", "0"}
 	events := restartEvents(4000)
 	const cut = 2600
@@ -215,7 +317,7 @@ func TestCheckpointRestart(t *testing.T) {
 }
 
 // TestAutotuneSwapSmoke is the end-to-end autotuning smoke (CI runs it
-// under -race): boot with -autotune and a candidate set whose best
+// under -race): boot with -autotune-candidates, a candidate set whose best
 // member beats the boot spec on the driven workload, stream traffic
 // over the wire, and require at least one hot-swap, a live /autotune
 // admin endpoint, and a clean drain with no leaked goroutines.
@@ -226,12 +328,12 @@ func TestAutotuneSwapSmoke(t *testing.T) {
 	// candidate (full colon geometry: width:delay:tables:tag:hmin:hmax)
 	// rides along to prove the tagged kind is shadow-scorable.
 	addr, srv, tuner, shutdown := bootServer(t,
-		"-predictor", "lvp", "-l1", "4", "-shards", "2",
-		"-autotune", "-autotune-candidates", "dfcm:8:8,stride:8,tage:8:6:32:0:4:8:4:32",
+		"-spec", "lvp:4", "-shards", "2",
+		"-autotune-candidates", "dfcm:8:8,stride:8,tage:8:6:32:0:4:8:4:32",
 		"-autotune-window", "128")
 	defer shutdown()
 	if tuner == nil {
-		t.Fatal("-autotune built no tuner")
+		t.Fatal("-autotune-candidates built no tuner")
 	}
 
 	c, err := serve.Dial(addr)
@@ -304,13 +406,14 @@ func TestAutotuneSwapSmoke(t *testing.T) {
 	}
 }
 
-// TestAutotuneFlagValidation: -autotune without parseable candidates
-// must fail at boot, not at the first session.
+// TestAutotuneFlagValidation: a candidate list that does not parse,
+// or a bad tuner option, must fail at boot, not at the first session.
 func TestAutotuneFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-autotune"},
-		{"-autotune", "-autotune-candidates", "dfcm:99:10"},
-		{"-autotune", "-autotune-candidates", "dfcm:8:8", "-autotune-objective", "speed"},
+		{"-autotune-candidates", " "},
+		{"-autotune-candidates", "dfcm:8:8,"},
+		{"-autotune-candidates", "dfcm:99:10"},
+		{"-autotune-candidates", "dfcm:8:8", "-autotune-objective", "speed"},
 	} {
 		if _, tn, err := newServer(optionsFromArgs(t, args...)); err == nil {
 			tn.Close()

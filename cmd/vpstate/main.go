@@ -64,16 +64,6 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "       vpstate diff a.vps b.vps")
 }
 
-// specString renders a spec in the shared flag vocabulary.
-func specString(s core.Spec) string {
-	out := fmt.Sprintf("%s l1=%d l2=%d width=%d delay=%d", s.Kind, s.L1, s.L2, s.Width, s.Delay)
-	if s.Kind == "tage" {
-		c := s.Canonical()
-		out += fmt.Sprintf(" tables=%d tag=%d hmin=%d hmax=%d", c.Tables, c.Tag, c.HistMin, c.HistMax)
-	}
-	return out
-}
-
 func runInspect(files []string, stdout, stderr io.Writer) int {
 	if len(files) == 0 {
 		fmt.Fprintln(stderr, "vpstate inspect: no files")
@@ -89,7 +79,7 @@ func runInspect(files []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "file:        %s\n", path)
 		fmt.Fprintf(stdout, "version:     %d\n", snap.Version)
-		fmt.Fprintf(stdout, "spec:        %s\n", specString(snap.Spec))
+		fmt.Fprintf(stdout, "spec:        %s\n", snap.Spec)
 		fmt.Fprintf(stdout, "session:     %d\n", snap.Meta.Session)
 		if snap.Meta.Predictions > 0 {
 			fmt.Fprintf(stdout, "predictions: %d\n", snap.Meta.Predictions)
@@ -172,7 +162,7 @@ func runDiff(files []string, stdout, stderr io.Writer) int {
 	}
 	differ := false
 	if a.Spec.Canonical() != b.Spec.Canonical() {
-		fmt.Fprintf(stdout, "spec: %s | %s\n", specString(a.Spec), specString(b.Spec))
+		fmt.Fprintf(stdout, "spec: %s | %s\n", a.Spec, b.Spec)
 		differ = true
 	}
 	if a.Meta != b.Meta {

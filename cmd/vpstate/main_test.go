@@ -70,7 +70,7 @@ func TestInspect(t *testing.T) {
 	}
 	for _, want := range []string{
 		"version:     1",
-		"spec:        dfcm l1=6 l2=8",
+		"spec:        dfcm:6:8",
 		"session:     9",
 		"hits:        250 (50.00%)",
 		"tables:",
@@ -166,7 +166,7 @@ func TestInspectTAGE(t *testing.T) {
 		t.Fatalf("exit %d\n%s", code, out)
 	}
 	for _, want := range []string{
-		"spec:        tage l1=6 l2=5 width=0 delay=0 tables=3 tag=8 hmin=4 hmax=32",
+		"spec:        tage:6:5:32:0:3:8:4:32",
 		"base", "t1(h4)", "t2(h", "t3(h32)", "hist",
 	} {
 		if !strings.Contains(out, want) {

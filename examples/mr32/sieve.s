@@ -7,7 +7,7 @@
 # trace to vpredict to watch the DFCM eat them:
 #
 #   go run ./cmd/mr32run -dump-trace /tmp/sieve.vtr examples/mr32/sieve.s
-#   go run ./cmd/vpredict -trace /tmp/sieve.vtr -predictor dfcm
+#   go run ./cmd/vpredict -trace /tmp/sieve.vtr -spec dfcm:16:12
 	.data
 flags:	.space 10000
 msg:	.asciiz "primes below 10000: "

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked, non-test package of the
@@ -111,11 +112,29 @@ func LoadModule(root string) ([]*Package, error) {
 	return order, nil
 }
 
+// checkSourceState is the FileSet and standard-library source
+// importer every CheckSource call shares: the importer caches each
+// package it type-checks, so the stdlib is checked once per process
+// rather than once per fixture. The source importer is not safe for
+// concurrent use, hence the mutex.
+var checkSourceState struct {
+	sync.Mutex
+	fset *token.FileSet
+	std  types.Importer
+}
+
 // CheckSource parses and type-checks a single in-memory file as a
 // package with the given import path — the fixture loader used by the
 // analyzer tests. Imports resolve from standard-library source only.
 func CheckSource(path, filename, src string) (*Package, error) {
-	fset := token.NewFileSet()
+	st := &checkSourceState
+	st.Lock()
+	defer st.Unlock()
+	if st.fset == nil {
+		st.fset = token.NewFileSet()
+		st.std = importer.ForCompiler(st.fset, "source", nil)
+	}
+	fset := st.fset
 	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
 	if err != nil {
 		return nil, err
@@ -126,7 +145,7 @@ func CheckSource(path, filename, src string) (*Package, error) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: st.std}
 	tpkg, err := conf.Check(path, fset, []*ast.File{f}, info)
 	if err != nil {
 		return nil, err

@@ -187,7 +187,7 @@ func New(cfg Config) (*Tuner, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("autotune: Config.Engine is required")
 	}
-	if _, err := cfg.Boot.New(); err != nil {
+	if err := cfg.Boot.Validate(); err != nil {
 		return nil, fmt.Errorf("autotune: boot spec: %w", err)
 	}
 	if cfg.Objective != "accuracy" && cfg.Objective != "efficiency" {
@@ -198,7 +198,7 @@ func New(cfg Config) (*Tuner, error) {
 	}
 	var candidates []core.Spec
 	for _, c := range cfg.Candidates {
-		if _, err := c.New(); err != nil {
+		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("autotune: candidate %+v: %w", c, err)
 		}
 		cc := c.Canonical()

@@ -403,43 +403,6 @@ func TestSampledSubsequenceEquivalence(t *testing.T) {
 	}
 }
 
-func TestParseSpecs(t *testing.T) {
-	got, err := ParseSpecs("dfcm:12:10, dfcm:14:12:16 ,stride:14,lvp:8,dfcm:10:8:32:4,tage:10:8,tage:10:8:32:0:6:10:2:96")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []core.Spec{
-		{Kind: "dfcm", L1: 12, L2: 10},
-		{Kind: "dfcm", L1: 14, L2: 12, Width: 16},
-		{Kind: "stride", L1: 14},
-		{Kind: "lvp", L1: 8},
-		{Kind: "dfcm", L1: 10, L2: 8, Width: 32, Delay: 4},
-		{Kind: "tage", L1: 10, L2: 8},
-		{Kind: "tage", L1: 10, L2: 8, Width: 32, Tables: 6, Tag: 10, HistMin: 2, HistMax: 96},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d specs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("spec %d: %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	for _, bad := range []string{
-		"", "dfcm", "dfcm:12:10,", "dfcm:twelve:10", "nope:4",
-		"fcm:10", "dfcm:12:10:16:2:9", "dfcm:99:10",
-		"tage:10:8:32:0:13",         // table count past TAGEMaxTables
-		"tage:10:8:32:0:4:8:64:4",   // hmin above hmax
-		"tage:10:8:32:0:4:8:4:129",  // history past TAGEMaxHist
-		"tage:10:8:32:0:4:8:4:64:1", // too many positions
-		"stride:8:0:0:0:4:8:4:64",   // tage geometry on a non-tage kind
-	} {
-		if _, err := ParseSpecs(bad); err == nil {
-			t.Errorf("ParseSpecs(%q) accepted", bad)
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	bootSpec := core.Spec{Kind: "lvp", L1: 4}
 	e := newEngine(t, bootSpec)

@@ -472,51 +472,6 @@ func TestRouterOversizedFrame(t *testing.T) {
 	}
 }
 
-// benchmarkCluster measures router throughput with n backends: 16
-// concurrent sessions replaying a mixed workload in RunBatch batches
-// large enough that backend predict/update compute, not round-trip
-// latency, is the bottleneck. Comparing Backends1/2/4 ns/op in
-// BENCH_engine.json records the scale-out curve.
-func benchmarkCluster(b *testing.B, nBackends int) {
-	addrs := make([]string, nBackends)
-	for i := range addrs {
-		addrs[i] = startBackend(b)
-	}
-	_, raddr := startRouter(b, Config{Backends: addrs})
-
-	const sessions, perSession, batch = 16, 16384, 2048
-	events := make([]trace.Trace, sessions)
-	clients := make([]*serve.Client, sessions)
-	for i := range events {
-		events[i] = clusterEvents(uint32(0x1000*(i+1)), perSession)
-		clients[i] = dialRouter(b, raddr)
-	}
-	b.SetBytes(int64(sessions * perSession))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				c, evs := clients[s], events[s]
-				for start := 0; start < len(evs); start += batch {
-					end := min(start+batch, len(evs))
-					if _, st, err := c.RunBatch(uint64(s+1), evs[start:end]); err != nil || st != serve.StatusOK {
-						b.Errorf("RunBatch: %v %v", st, err)
-						return
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-	}
-}
-
-func BenchmarkClusterBackends1(b *testing.B) { benchmarkCluster(b, 1) }
-func BenchmarkClusterBackends2(b *testing.B) { benchmarkCluster(b, 2) }
-func BenchmarkClusterBackends4(b *testing.B) { benchmarkCluster(b, 4) }
-
 // TestRouterPooledClientBufferIsolation: the router reads forwarded
 // responses into per-connection caller-owned buffers
 // (serve.Client.RoundTripAppend) precisely because pooled backend

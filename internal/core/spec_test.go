@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,11 +26,11 @@ func TestSpecNewNames(t *testing.T) {
 	for _, c := range cases {
 		p, err := c.spec.New()
 		if err != nil {
-			t.Errorf("%+v: %v", c.spec, err)
+			t.Errorf("%#v: %v", c.spec, err)
 			continue
 		}
 		if p.Name() != c.name {
-			t.Errorf("%+v built %q, want %q", c.spec, p.Name(), c.name)
+			t.Errorf("%#v built %q, want %q", c.spec, p.Name(), c.name)
 		}
 	}
 }
@@ -47,7 +48,7 @@ func TestSpecNewErrors(t *testing.T) {
 	}
 	for _, c := range bad {
 		if _, err := c.spec.New(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%+v: error %v, want substring %q", c.spec, err, c.want)
+			t.Errorf("%#v: error %v, want substring %q", c.spec, err, c.want)
 		}
 	}
 }
@@ -78,6 +79,7 @@ func TestSpecNewBoundaries(t *testing.T) {
 		{Kind: "dfcm", L1: 10, L2: 8, Width: 1},                            // narrowest stride
 		{Kind: "dfcm", L1: 10, L2: 8, Width: 32},                           // widest stride
 		{Kind: "2delta", L1: 10, Delay: 1 << 20},                           // huge but legal delay
+		{Kind: "lvp", L1: 4, Delay: math.MaxUint32},                        // widest delay a snapshot records
 		{Kind: "hybrid", L1: 0, L2: 1},                                     // minimal hybrid
 		{Kind: "tage", L1: 8, L2: 1},                                       // minimal tagged tables, default geometry
 		{Kind: "tage", L1: 8, L2: 6, Tables: 1, HistMin: 64, HistMax: 64},  // N=1 degenerate series
@@ -88,7 +90,7 @@ func TestSpecNewBoundaries(t *testing.T) {
 	}
 	for _, s := range accept {
 		if _, err := s.New(); err != nil {
-			t.Errorf("%+v rejected: %v", s, err)
+			t.Errorf("%#v rejected: %v", s, err)
 		}
 	}
 	reject := []struct {
@@ -102,6 +104,7 @@ func TestSpecNewBoundaries(t *testing.T) {
 		{Spec{Kind: "hybrid", L1: 10, L2: 0}, "level-2"},
 		{Spec{Kind: "dfcm", L1: 10, L2: 8, Width: 33}, "stride width"},
 		{Spec{Kind: "stride", L1: 10, Delay: -1}, "delay"},
+		{Spec{Kind: "lvp", L1: 4, Delay: math.MaxUint32 + 1}, "delay"}, // past the snapshot's u32 field
 		{Spec{Kind: "tage", L1: 10, L2: 0}, "tagged-table"},
 		{Spec{Kind: "tage", L1: 10, L2: 6, Tables: 13}, "table count"},
 		{Spec{Kind: "tage", L1: 10, L2: 6, Tag: 3}, "tag width"},
@@ -116,11 +119,11 @@ func TestSpecNewBoundaries(t *testing.T) {
 	for _, c := range reject {
 		p, err := c.spec.New()
 		if err == nil {
-			t.Errorf("%+v accepted as %s", c.spec, p.Name())
+			t.Errorf("%#v accepted as %s", c.spec, p.Name())
 			continue
 		}
 		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%+v: error %q, want substring %q", c.spec, err, c.want)
+			t.Errorf("%#v: error %q, want substring %q", c.spec, err, c.want)
 		}
 	}
 }
@@ -147,12 +150,12 @@ func TestSpecNewNeverPanics(t *testing.T) {
 						func() {
 							defer func() {
 								if r := recover(); r != nil {
-									t.Fatalf("%+v panicked: %v", s, r)
+									t.Fatalf("%#v panicked: %v", s, r)
 								}
 							}()
 							p, err := s.New()
 							if (p == nil) == (err == nil) {
-								t.Fatalf("%+v: predictor %v, err %v — exactly one must be set", s, p, err)
+								t.Fatalf("%#v: predictor %v, err %v — exactly one must be set", s, p, err)
 							}
 						}()
 					}
@@ -180,12 +183,12 @@ func TestSpecNewNeverPanicsTAGEGeometry(t *testing.T) {
 					func() {
 						defer func() {
 							if r := recover(); r != nil {
-								t.Fatalf("%+v panicked: %v", s, r)
+								t.Fatalf("%#v panicked: %v", s, r)
 							}
 						}()
 						p, err := s.New()
 						if (p == nil) == (err == nil) {
-							t.Fatalf("%+v: predictor %v, err %v — exactly one must be set", s, p, err)
+							t.Fatalf("%#v: predictor %v, err %v — exactly one must be set", s, p, err)
 						}
 					}()
 				}
@@ -202,11 +205,11 @@ func TestSpecCanonicalTAGE(t *testing.T) {
 	got := Spec{Kind: "tage", L1: 10, L2: 8}.Canonical()
 	want := Spec{Kind: "tage", L1: 10, L2: 8, Width: 32, Tables: 4, Tag: 8, HistMin: 4, HistMax: 64}
 	if got != want {
-		t.Errorf("tage canonical = %+v, want %+v", got, want)
+		t.Errorf("tage canonical = %#v, want %#v", got, want)
 	}
 	off := Spec{Kind: "dfcm", L1: 10, L2: 8, Tables: 6, Tag: 12, HistMin: 2, HistMax: 99}.Canonical()
 	if off.Tables != 0 || off.Tag != 0 || off.HistMin != 0 || off.HistMax != 0 {
-		t.Errorf("dfcm canonical kept tage fields: %+v", off)
+		t.Errorf("dfcm canonical kept tage fields: %#v", off)
 	}
 }
 
@@ -228,4 +231,119 @@ func TestSpecWidthIgnoredOffDFCM(t *testing.T) {
 				kind, base.Name(), base.SizeBits(), wide.Name(), wide.SizeBits())
 		}
 	}
+}
+
+// parseAccept maps accepted colon forms to the exact spec ParseSpec
+// returns: omitted positions stay zero (the kind's default).
+var parseAccept = []struct {
+	in   string
+	want Spec
+}{
+	{"dfcm:16:12", Spec{Kind: "dfcm", L1: 16, L2: 12}},
+	{"dfcm:12:10", Spec{Kind: "dfcm", L1: 12, L2: 10}},
+	{"dfcm:14:12:16", Spec{Kind: "dfcm", L1: 14, L2: 12, Width: 16}},
+	{"stride:14", Spec{Kind: "stride", L1: 14}},
+	{"lvp:8", Spec{Kind: "lvp", L1: 8}},
+	{"2delta:8:0:0:3", Spec{Kind: "2delta", L1: 8, Delay: 3}},
+	{"hybrid:10:8", Spec{Kind: "hybrid", L1: 10, L2: 8}},
+	{"fcm:10:8:0:0", Spec{Kind: "fcm", L1: 10, L2: 8}},
+	{"dfcm:10:8:32:4", Spec{Kind: "dfcm", L1: 10, L2: 8, Width: 32, Delay: 4}},
+	{"dfcm:16:12:32:1024", Spec{Kind: "dfcm", L1: 16, L2: 12, Width: 32, Delay: 1024}},
+	{"dfcm:16:12:32:4294967295", Spec{Kind: "dfcm", L1: 16, L2: 12, Width: 32, Delay: math.MaxUint32}},
+	{"tage:10:8", Spec{Kind: "tage", L1: 10, L2: 8}},
+	{"tage:10:8:32:0:6:10:2:96", Spec{Kind: "tage", L1: 10, L2: 8, Width: 32, Tables: 6, Tag: 10, HistMin: 2, HistMax: 96}},
+	{"tage:8:6:32:0:12:8:1:128", Spec{Kind: "tage", L1: 8, L2: 6, Width: 32, Tables: 12, Tag: 8, HistMin: 1, HistMax: 128}},
+}
+
+// parseReject lists colon forms ParseSpec must refuse.
+var parseReject = []string{
+	"", "dfcm", ":", "dfcm:", "dfcm:12:10:", "dfcm:twelve:10", "dfcm:-1:10", "dfcm: 12:10",
+	"nope:4", "DFCM:12:10", "fcm:10", "dfcm:99:10", "dfcm:12:10:33",
+	"dfcm:12:10:16:2:9",         // tables position on a non-tage kind
+	"dfcm:16:12:32:4294967296",  // delay past the snapshot's u32 field
+	"tage:10:8:32:0:13",         // table count past TAGEMaxTables
+	"tage:10:8:32:0:4:3",        // tag narrower than 4 bits
+	"tage:10:8:32:0:4:8:64:4",   // hmin above hmax
+	"tage:10:8:32:0:4:8:4:129",  // history past TAGEMaxHist
+	"tage:10:8:32:0:4:8:4:64:1", // too many positions
+	"stride:8:0:0:0:4:8:4:64",   // tage geometry on a non-tage kind
+}
+
+func TestParseSpec(t *testing.T) {
+	for _, c := range parseAccept {
+		got, err := ParseSpec(c.in)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", c.in, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("ParseSpec(%q) = %#v, want %#v", c.in, got, c.want)
+		}
+	}
+	for _, in := range parseReject {
+		if s, err := ParseSpec(in); err == nil {
+			t.Errorf("ParseSpec(%q) accepted as %#v", in, s)
+		}
+	}
+}
+
+// TestSpecString pins the canonical rendering: defaults made explicit
+// by Canonical are dropped again when trailing, kept when a later
+// position is set.
+func TestSpecString(t *testing.T) {
+	cases := []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Kind: "dfcm", L1: 16, L2: 12}, "dfcm:16:12"},
+		{Spec{Kind: "dfcm", L1: 16, L2: 12, Width: 32}, "dfcm:16:12"},
+		{Spec{Kind: "dfcm", L1: 16, L2: 12, Width: 8}, "dfcm:16:12:8"},
+		{Spec{Kind: "dfcm", L1: 10, L2: 8, Delay: 64}, "dfcm:10:8:32:64"},
+		{Spec{Kind: "lvp", L1: 6, L2: 9, Width: 16}, "lvp:6"},
+		{Spec{Kind: "lvp", L1: 6, Delay: 4}, "lvp:6:0:0:4"},
+		{Spec{Kind: "hybrid", L1: 10, L2: 8, Width: 8}, "hybrid:10:8"},
+		{Spec{Kind: "tage", L1: 10, L2: 8, Width: 32, Tables: 4, Tag: 8, HistMin: 4, HistMax: 64}, "tage:10:8"},
+		{Spec{Kind: "tage", L1: 6, L2: 5, Tables: 3, Tag: 8, HistMin: 4, HistMax: 32}, "tage:6:5:32:0:3:8:4:32"},
+		{Spec{Kind: "tage", L1: 6, L2: 5, Tables: 3}, "tage:6:5:32:0:3"},
+	}
+	for _, c := range cases {
+		if got := c.spec.String(); got != c.want {
+			t.Errorf("%#v.String() = %q, want %q", c.spec, got, c.want)
+		}
+	}
+	for _, c := range parseAccept {
+		back, err := ParseSpec(c.want.String())
+		if err != nil || back.Canonical() != c.want.Canonical() {
+			t.Errorf("%q renders as %q, which parses to %#v (%v)", c.in, c.want.String(), back, err)
+		}
+	}
+}
+
+// FuzzParseSpec: every accepted string renders (String) to a form
+// that parses back to a canonically equal spec, and that rendering is
+// a fixpoint.
+func FuzzParseSpec(f *testing.F) {
+	for _, c := range parseAccept {
+		f.Add(c.in)
+	}
+	for _, in := range parseReject {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		str := s.String()
+		back, err := ParseSpec(str)
+		if err != nil {
+			t.Fatalf("%q parsed, but its rendering %q does not: %v", in, str, err)
+		}
+		if back.Canonical() != s.Canonical() {
+			t.Fatalf("%q: rendering %q parses to %#v, want canonical %#v", in, str, back.Canonical(), s.Canonical())
+		}
+		if again := back.String(); again != str {
+			t.Fatalf("%q: rendering is not a fixpoint: %q then %q", in, str, again)
+		}
+	})
 }

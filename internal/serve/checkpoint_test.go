@@ -214,8 +214,8 @@ func TestSnapshotSessionOp(t *testing.T) {
 	}
 }
 
-// TestSnapshotSessionStatuses: missing session and spec-less engine
-// answer with the right statuses, and neither creates a session.
+// TestSnapshotSessionStatuses: a missing session answers
+// StatusBadRequest, and the snapshot does not create it.
 func TestSnapshotSessionStatuses(t *testing.T) {
 	e, err := NewEngine(Config{Spec: ckptSpec, Shards: 1})
 	if err != nil {
@@ -227,18 +227,6 @@ func TestSnapshotSessionStatuses(t *testing.T) {
 	}
 	if n := e.Snapshot().Sessions; n != 0 {
 		t.Errorf("SnapshotSession created %d sessions", n)
-	}
-
-	noSpec, err := NewEngine(Config{NewPredictor: func() core.Predictor { return core.NewLastValue(4) }, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noSpec.Close()
-	if st := noSpec.ResetSession(1); st != StatusOK { // create the session
-		t.Fatal(st)
-	}
-	if _, st := noSpec.SnapshotSession(1); st != StatusUnsupported {
-		t.Errorf("spec-less engine: %v, want unsupported", st)
 	}
 }
 

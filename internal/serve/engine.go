@@ -18,15 +18,9 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// NewPredictor builds the predictor backing one session. Each call
-	// must return a fresh, independent instance. Optional when Spec is
-	// set (the engine then derives it); when both are set, NewPredictor
-	// must build predictors matching Spec.
-	NewPredictor func() core.Predictor
-	// Spec is the predictor configuration in the shared flag
-	// vocabulary. Required for checkpointing and the SnapshotSession
-	// op: a snapshot records the spec so a restart (or cmd/vpstate)
-	// can rebuild the exact predictor.
+	// Spec is the predictor configuration every session starts from
+	// (required). A snapshot records it, so a restart, a migration or
+	// cmd/vpstate can rebuild the exact predictor.
 	Spec core.Spec
 	// Shards is the number of independent shard goroutines. Sessions
 	// are assigned to shards by hashing the session ID, so sessions on
@@ -43,8 +37,8 @@ type Config struct {
 	// CheckpointDir, when non-empty, enables durable session state:
 	// every session is snapshot to one file in the directory
 	// (session-<id>.vps) on graceful Close, and LoadCheckpoints
-	// warm-starts from the same files on boot. Requires Spec. The
-	// directory is created if missing.
+	// warm-starts from the same files on boot. The directory is
+	// created if missing.
 	CheckpointDir string
 	// CheckpointInterval adds periodic background checkpoints between
 	// the boot and drain ones. 0 disables the ticker (checkpoint on
@@ -259,6 +253,11 @@ type Engine struct {
 	swaps    atomic.Uint64
 	tap      atomic.Pointer[Tap] // traffic mirror hook; nil when untapped
 
+	// newPredictor builds a fresh cfg.Spec predictor per session. It
+	// is a field, not a Spec.New call, only so tests in this package
+	// can install an instrumented predictor before the first request.
+	newPredictor func() core.Predictor
+
 	// byID indexes every live session for stats reads; the owning
 	// shard remains the only goroutine touching a session's predictor.
 	sessMu sync.RWMutex
@@ -280,37 +279,29 @@ type Engine struct {
 // engine. Callers must Close it to stop them.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if cfg.NewPredictor == nil {
-		if cfg.Spec.Kind == "" {
-			return nil, fmt.Errorf("serve: Config.NewPredictor or Config.Spec is required")
-		}
-		if _, err := cfg.Spec.New(); err != nil {
-			return nil, fmt.Errorf("serve: spec: %w", err)
-		}
-		spec := cfg.Spec
-		cfg.NewPredictor = func() core.Predictor {
-			p, err := spec.New()
-			if err != nil {
-				panic("serve: spec validated at engine start cannot fail: " + err.Error())
-			}
-			return p
-		}
+	if err := cfg.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: spec: %w", err)
 	}
 	if cfg.CheckpointDir != "" {
-		if cfg.Spec.Kind == "" {
-			return nil, fmt.Errorf("serve: checkpointing requires Config.Spec")
-		}
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
 		}
 	}
+	newPredictor := func() core.Predictor {
+		p, err := cfg.Spec.New()
+		if err != nil {
+			panic("serve: spec validated at engine start cannot fail: " + err.Error())
+		}
+		return p
+	}
 	e := &Engine{
-		cfg:    cfg,
-		name:   cfg.NewPredictor().Name(),
-		window: uint64(cfg.StatsWindow),
-		shards: make([]*shard, cfg.Shards),
-		byID:   make(map[uint64]*session),
-		quit:   make(chan struct{}),
+		cfg:          cfg,
+		name:         newPredictor().Name(),
+		newPredictor: newPredictor,
+		window:       uint64(cfg.StatsWindow),
+		shards:       make([]*shard, cfg.Shards),
+		byID:         make(map[uint64]*session),
+		quit:         make(chan struct{}),
 	}
 	for i := range e.shards {
 		s := &shard{
@@ -371,7 +362,7 @@ func (e *Engine) getSession(s *shard, id uint64) *session {
 	if int(e.sessions.Load()) >= e.cfg.MaxSessions {
 		return nil
 	}
-	sess := &session{p: e.cfg.NewPredictor()}
+	sess := &session{p: e.newPredictor()}
 	s.sessions[id] = sess
 	e.sessMu.Lock()
 	e.byID[id] = sess
@@ -469,11 +460,11 @@ func (e *Engine) handle(s *shard, req request) {
 				if err == nil {
 					sess.p = p
 				} else {
-					sess.p = e.cfg.NewPredictor()
+					sess.p = e.newPredictor()
 					sess.spec.Store(nil)
 				}
 			} else {
-				sess.p = e.cfg.NewPredictor()
+				sess.p = e.newPredictor()
 			}
 		}
 		s.resets.Add(1)
@@ -485,13 +476,9 @@ func (e *Engine) handle(s *shard, req request) {
 
 // handleSnapshotSession serializes one live session on its shard
 // goroutine. Missing sessions are StatusBadRequest (a snapshot never
-// creates a session); engines without a Spec cannot describe their
-// predictor in a snapshot and answer StatusUnsupported.
+// creates a session); a predictor that cannot export its state answers
+// StatusUnsupported.
 func (e *Engine) handleSnapshotSession(s *shard, req request) {
-	if e.cfg.Spec.Kind == "" {
-		req.reply <- response{status: StatusUnsupported}
-		return
-	}
 	sess, ok := s.sessions[req.session]
 	if !ok {
 		req.reply <- response{status: StatusBadRequest}
@@ -584,7 +571,7 @@ func (e *Engine) ResetSession(sessionID uint64) Status {
 // internal/snapshot format): spec, lifetime counters and complete
 // predictor state, captured atomically on the owning shard.
 // StatusBadRequest if the session does not exist, StatusUnsupported if
-// the engine has no Spec or its predictor cannot export state.
+// its predictor cannot export state.
 func (e *Engine) SnapshotSession(sessionID uint64) ([]byte, Status) {
 	r := e.submit(request{op: OpSnapshotSession, session: sessionID})
 	return r.blob, r.status
@@ -599,12 +586,8 @@ func (e *Engine) SnapshotSession(sessionID uint64) ([]byte, Status) {
 // existing live session is replaced, which makes a re-driven
 // migration idempotent. Decode and state validation run on the
 // caller's goroutine; only the install itself visits the shard.
-// StatusUnsupported on engines without a Spec, StatusBadRequest on
-// undecodable or semantically invalid bytes.
+// StatusBadRequest on undecodable or semantically invalid bytes.
 func (e *Engine) RestoreSession(sessionID uint64, blob []byte) Status {
-	if e.cfg.Spec.Kind == "" {
-		return StatusUnsupported
-	}
 	snap, err := snapshot.Decode(bytes.NewReader(blob))
 	if err != nil {
 		return StatusBadRequest

@@ -14,14 +14,6 @@ import (
 // paper's DFCM at small table sizes.
 var testSpec = core.Spec{Kind: "dfcm", L1: 10, L2: 10}
 
-func newTestPredictor() core.Predictor {
-	p, err := testSpec.New()
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // testEvents generates a deterministic mixed workload trace: shifting
 // the seed PC keeps distinct sessions' traces distinct.
 func testEvents(basePC uint32, n int) trace.Trace {
@@ -42,8 +34,8 @@ func offlineHits(t *testing.T, events trace.Trace) uint64 {
 
 func newTestEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	if cfg.NewPredictor == nil {
-		cfg.NewPredictor = newTestPredictor
+	if cfg.Spec == (core.Spec{}) {
+		cfg.Spec = testSpec
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -91,10 +83,7 @@ func TestRunBatchScorerPath(t *testing.T) {
 	}
 	want := core.Run(offline, trace.NewReader(events)).Correct
 
-	e := newTestEngine(t, Config{
-		Shards:       2,
-		NewPredictor: func() core.Predictor { p, _ := spec.New(); return p },
-	})
+	e := newTestEngine(t, Config{Spec: spec, Shards: 2})
 	if got := runThroughEngine(t, e, 5, events, 128); got != want {
 		t.Errorf("hybrid via engine: %d hits, offline %d", got, want)
 	}
@@ -233,11 +222,8 @@ func (g *gatedPredictor) SizeBits() int64         { return 0 }
 
 func TestBackpressureShedsInsteadOfBlocking(t *testing.T) {
 	gp := &gatedPredictor{entered: make(chan struct{}), gate: make(chan struct{})}
-	e := newTestEngine(t, Config{
-		Shards:       1,
-		MailboxDepth: 1,
-		NewPredictor: func() core.Predictor { return gp },
-	})
+	e := newTestEngine(t, Config{Shards: 1, MailboxDepth: 1})
+	e.newPredictor = func() core.Predictor { return gp } // before any session exists
 	one := trace.Trace{{PC: 4, Value: 0}}
 
 	results := make(chan Status, 2)
@@ -284,7 +270,7 @@ func TestMaxSessionsCap(t *testing.T) {
 }
 
 func TestClosedEngineRejects(t *testing.T) {
-	e, err := NewEngine(Config{Shards: 2, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Spec: testSpec, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +283,10 @@ func TestClosedEngineRejects(t *testing.T) {
 
 func TestEngineRequiresFactory(t *testing.T) {
 	if _, err := NewEngine(Config{}); err == nil {
-		t.Error("NewEngine without a predictor factory must fail")
+		t.Error("NewEngine without a predictor spec must fail")
+	}
+	if _, err := NewEngine(Config{Spec: core.Spec{Kind: "dfcm", L1: 10}}); err == nil {
+		t.Error("NewEngine with an invalid predictor spec must fail")
 	}
 }
 

@@ -39,7 +39,7 @@ func TestConnScratchAliasingUnderConcurrency(t *testing.T) {
 			defer c.Close()
 			session := uint64(k + 1)
 			events := testEvents(uint32(0x1000*(k+1)), 4000)
-			replica := newTestPredictor()
+			replica, _ := testSpec.New()
 			var pcs, want, got []uint32
 			// Vary the chunk size per connection so frames of different
 			// lengths interleave on the server — exactly the traffic
@@ -97,7 +97,7 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 	if leakcheck.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
 	}
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Spec: testSpec, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestEngineBatchZeroAlloc(t *testing.T) {
 	if leakcheck.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
 	}
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Spec: testSpec, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestEngineBatchZeroAlloc(t *testing.T) {
 // TestPredictBatchAppendReuses: the Into/Append decoding paths reuse
 // caller storage when capacity suffices and preserve values exactly.
 func TestPredictBatchAppendReuses(t *testing.T) {
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Spec: testSpec, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPredictBatchAppendReuses(t *testing.T) {
 // score differently by design.
 func TestRunBatchScorerParityServed(t *testing.T) {
 	mk := func() core.Predictor { return core.NewPerfectHybrid(core.NewStride(8), core.NewFCM(8, 10)) }
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: mk})
+	e, err := NewEngine(Config{Spec: core.Spec{Kind: "hybrid", L1: 8, L2: 10}, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ const benchServeBatch = 2048
 
 func benchDispatch(b *testing.B, op byte, payload []byte) {
 	b.Helper()
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Spec: testSpec, Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func BenchmarkServeDispatchPredictBatch(b *testing.B) {
 // the client side too (request encode + response decode), which the
 // reusable client buffers also hold at zero steady-state.
 func BenchmarkServeWireRunBatch(b *testing.B) {
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Spec: testSpec, Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

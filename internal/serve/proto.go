@@ -36,9 +36,9 @@
 // SnapshotSession returns the session's durable snapshot — the same
 // bytes a server-side checkpoint writes to disk — captured atomically
 // on the owning shard. It never creates a session (a missing session
-// is StatusBadRequest) and is StatusUnsupported on engines without a
-// predictor spec. Responses can far exceed DefaultMaxFrame; clients
-// read them with the MaxSnapshotFrame bound.
+// is StatusBadRequest) and is StatusUnsupported when the predictor
+// cannot export its state. Responses can far exceed DefaultMaxFrame;
+// clients read them with the MaxSnapshotFrame bound.
 //
 // RestoreSession is the symmetric write: it installs the session from
 // an encoded snapshot — typically one SnapshotSession returned from

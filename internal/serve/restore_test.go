@@ -122,13 +122,6 @@ func TestEngineRestoreSessionStatuses(t *testing.T) {
 		t.Errorf("foreign spec: %v, want spec-mismatch", st)
 	}
 
-	// No spec: the engine cannot validate what it is restoring.
-	bare := newTestEngine(t, Config{NewPredictor: newTestPredictor, Shards: 1})
-	defer bare.Close()
-	if st := bare.RestoreSession(5, blob); st != StatusUnsupported {
-		t.Errorf("spec-less engine: %v, want unsupported", st)
-	}
-
 	// Replace semantics: a live session is overwritten, and its state
 	// afterwards equals the snapshot, not the overwritten session.
 	if _, st := e.RunBatch(9, testEvents(0x9000, 300)); st != StatusOK {
@@ -148,8 +141,8 @@ func TestEngineRestoreSessionStatuses(t *testing.T) {
 // protocol: snapshot from one server, restore into another, and the
 // destination session continues exactly where the source left off.
 func TestServerRestoreSessionWire(t *testing.T) {
-	_, addrA := startServer(t, Config{Spec: testSpec, NewPredictor: newTestPredictor, Shards: 2}, ServerConfig{})
-	_, addrB := startServer(t, Config{Spec: testSpec, NewPredictor: newTestPredictor, Shards: 2}, ServerConfig{})
+	_, addrA := startServer(t, Config{Spec: testSpec, Shards: 2}, ServerConfig{})
+	_, addrB := startServer(t, Config{Spec: testSpec, Shards: 2}, ServerConfig{})
 	ca, err := Dial(addrA)
 	if err != nil {
 		t.Fatal(err)
@@ -203,15 +196,7 @@ func TestSnapshotFrameBeyondDefaultMax(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-megabyte snapshot round trip")
 	}
-	cfg := Config{Spec: restoreSpec, Shards: 1}
-	cfg.NewPredictor = func() core.Predictor {
-		p, err := restoreSpec.New()
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}
-	_, addr := startServer(t, cfg, ServerConfig{})
+	_, addr := startServer(t, Config{Spec: restoreSpec, Shards: 1}, ServerConfig{})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

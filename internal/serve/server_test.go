@@ -19,8 +19,8 @@ import (
 // listener and returns its address. Cleanup closes everything.
 func startServer(t *testing.T, cfg Config, scfg ServerConfig) (*Server, string) {
 	t.Helper()
-	if cfg.NewPredictor == nil {
-		cfg.NewPredictor = newTestPredictor
+	if cfg.Spec == (core.Spec{}) {
+		cfg.Spec = testSpec
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {

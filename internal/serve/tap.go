@@ -60,7 +60,7 @@ func (e *Engine) mirror(session, seq uint64, events []trace.Event) {
 // mailbox is full (StatusBusy) — the tuner retries at a later
 // evaluation instead of blocking.
 func (e *Engine) SwapSession(sessionID uint64, spec core.Spec, p core.Predictor) Status {
-	if p == nil || spec.Kind == "" {
+	if p == nil || spec.Validate() != nil {
 		return StatusBadRequest
 	}
 	return e.submit(request{op: opSwapSession, session: sessionID, newP: p, newSpec: spec}).status

@@ -202,7 +202,7 @@ func TestSwapSession(t *testing.T) {
 }
 
 // TestSwapSessionStatuses: a swap never creates a session and rejects
-// nil or spec-less replacements.
+// nil or invalid-spec replacements.
 func TestSwapSessionStatuses(t *testing.T) {
 	e := newTestEngine(t, Config{Shards: 1})
 	p, err := testSpec.New()
