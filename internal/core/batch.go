@@ -36,6 +36,15 @@ func (p *LastValue) RunBatch(batch []trace.Event) Result {
 	return res
 }
 
+// clearHits zeroes the words of hits that RunBatchHits owns for an
+// n-event batch, leaving any words after them alone; a nil hits (how
+// RunBatch records none) is left alone too.
+func clearHits(hits []uint64, n int) {
+	if hits != nil {
+		clear(hits[:HitWords(n)])
+	}
+}
+
 // RunBatch implements BatchRunner.
 func (p *Stride) RunBatch(batch []trace.Event) Result { return p.RunBatchHits(batch, nil) }
 
@@ -48,7 +57,7 @@ func (p *Stride) RunBatchHits(batch []trace.Event, hits []uint64) Result {
 	res := Result{Predictions: uint64(len(batch))}
 	t := p.table
 	if len(t) == 0 {
-		clear(hits)
+		clearHits(hits, len(batch))
 		return res
 	}
 	mask := len(t) - 1
@@ -108,7 +117,7 @@ func (p *FCM) RunBatchHits(batch []trace.Event, hits []uint64) Result {
 	res := Result{Predictions: uint64(len(batch))}
 	l1, l2 := p.l1, p.l2
 	if len(l1) == 0 {
-		clear(hits)
+		clearHits(hits, len(batch))
 		return res
 	}
 	mask := len(l1) - 1
@@ -154,7 +163,7 @@ func (p *DFCM) RunBatchHits(batch []trace.Event, hits []uint64) Result {
 	res := Result{Predictions: uint64(len(batch))}
 	last, hist, l2 := p.last, p.hist, p.l2
 	if len(last) == 0 || len(hist) != len(last) {
-		clear(hits)
+		clearHits(hits, len(batch))
 		return res
 	}
 	mask := len(last) - 1

@@ -228,7 +228,7 @@ func RunBatchHits(p Predictor, batch []trace.Event, hits []uint64) Result {
 		return q.RunBatchHits(batch, hits)
 	}
 	res := Result{Predictions: uint64(len(batch))}
-	clear(hits[:HitWords(len(batch))])
+	clearHits(hits, len(batch))
 	for i, e := range batch {
 		if scoreEvent(p, e.PC, e.Value) {
 			hits[i>>6] |= 1 << (i & 63)

@@ -210,4 +210,22 @@ func TestRunBatchConcreteMatchesGeneric(t *testing.T) {
 			}
 		}
 	}
+	// Zero-value predictors take the concrete loops' empty-table
+	// branch, which has no generic twin (Predict would index an empty
+	// table): every event misses, and the mask contract still holds.
+	for name, p := range map[string]Predictor{"stride-zero": &Stride{}, "fcm-zero": &FCM{}, "dfcm-zero": &DFCM{}} {
+		for _, n := range []int{0, 1, 64, 733} {
+			mask := make([]uint64, HitWords(n)+1)
+			for w := range mask {
+				mask[w] = ^uint64(0)
+			}
+			if got := RunBatchHits(p, tr[:n], mask); got != (Result{Predictions: uint64(n)}) {
+				t.Fatalf("%s n=%d: RunBatchHits %+v, want %d misses", name, n, got, n)
+			}
+			checkHitMask(t, name, 0, mask, make([]bool, n))
+			if got := RunBatch(p, tr[:n]); got != (Result{Predictions: uint64(n)}) {
+				t.Fatalf("%s n=%d: RunBatch %+v, want %d misses", name, n, got, n)
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -43,14 +44,35 @@ type derivedEntry struct {
 	err  error
 }
 
-// TraceCache memoizes benchmark traces by (name, budget). Traces are
-// immutable once generated; callers must not modify the returned
+// resultKey identifies one shared sweep result: the predictor
+// configuration named by a canonical core.Spec string, replayed over
+// the (name, budget) trace.
+type resultKey struct {
+	traceKey
+	spec string
+}
+
+// resultEntry is one shared sweep result. The sweep that claimed it
+// fills res and mask, then closes done; every other sweep waits on
+// done and only reads afterwards.
+type resultEntry struct {
+	done chan struct{}
+	res  core.Result
+	mask []uint64 // whole-trace hit mask; nil for kinds without a mask loop
+}
+
+// TraceCache memoizes benchmark traces by (name, budget), and the
+// sweep results computed from them by (name, budget, spec). Traces
+// are immutable once generated; callers must not modify the returned
 // slice.
 type TraceCache struct {
 	gen     Generator
-	mu      sync.Mutex // guards the maps (only; never held during gen/compute)
-	entries map[traceKey]*traceEntry
-	derived map[derivedKey]*derivedEntry
+	mu      sync.Mutex                   // never held during gen, compute or a replay
+	entries map[traceKey]*traceEntry     // vplint:guardedby mu
+	derived map[derivedKey]*derivedEntry // vplint:guardedby mu
+	results map[resultKey]*resultEntry   // vplint:guardedby mu
+	// claims counts the result entries ever created.
+	claims int // vplint:guardedby mu
 }
 
 // NewTraceCache returns an empty cache backed by gen.
@@ -59,6 +81,7 @@ func NewTraceCache(gen Generator) *TraceCache {
 		gen:     gen,
 		entries: make(map[traceKey]*traceEntry),
 		derived: make(map[derivedKey]*derivedEntry),
+		results: make(map[resultKey]*resultEntry),
 	}
 }
 
@@ -106,11 +129,30 @@ func (c *TraceCache) Derived(name string, budget uint64, tag string,
 	return e.v, e.err
 }
 
-// Reset drops every cached trace and derived artifact. In-flight Gets
-// keep their old entries; subsequent Gets regenerate.
+// claim returns the shared result entry of spec over the (name,
+// budget) trace, creating it if it does not exist yet. owner reports
+// that this call created it: the caller must then publish it (fill
+// res and mask, close done) without waiting on any other entry first.
+func (c *TraceCache) claim(name string, budget uint64, spec string) (e *resultEntry, owner bool) {
+	k := resultKey{traceKey: traceKey{name: name, budget: budget}, spec: spec}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.results[k]; ok {
+		return e, false
+	}
+	e = &resultEntry{done: make(chan struct{})}
+	c.results[k] = e
+	c.claims++
+	return e, true
+}
+
+// Reset drops every cached trace, derived artifact and shared result.
+// In-flight Gets and claims keep their old entries; subsequent ones
+// start afresh.
 func (c *TraceCache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[traceKey]*traceEntry)
 	c.derived = make(map[derivedKey]*derivedEntry)
+	c.results = make(map[resultKey]*resultEntry)
 }

@@ -14,6 +14,10 @@
 //     per-event Source.Next dispatch is gone — see core.RunBatch);
 //   - scores perfect-meta hybrids (Sweep.AddAny) from their component
 //     configurations' per-event hit masks instead of replaying them;
+//   - shares results across sweeps: a configuration registered as a
+//     core.Spec (Sweep.AddSpec) is replayed once per benchmark and
+//     budget for the life of the TraceCache, and every other sweep
+//     that registers it reads the published result and hit mask;
 //   - schedules all work units on one bounded worker pool sized by
 //     GOMAXPROCS, replacing the unbounded per-benchmark fan-out;
 //   - fetches traces through a TraceCache whose per-key singleflight
@@ -31,6 +35,7 @@
 package engine
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -54,14 +59,13 @@ type Options struct {
 	// must be bit-identical to the default mode; the equivalence
 	// tests in internal/experiments hold the engine to that.
 	Reference bool
-	// FeedSize, when positive, makes each benchmark replay feed its
-	// trace through the streaming core (Stream.Feed) in slices of at
-	// most FeedSize events instead of one call over the whole trace —
-	// the exact input shape the online autotuner produces. Output must
-	// be bit-identical to the one-shot path (state carries across Feed
-	// calls); the streaming-refactor regression pass of
-	// TestEngineEquivalence holds the engine to that. 0 feeds each
-	// trace whole.
+	// FeedSize, when positive, makes each benchmark replay take its
+	// trace in slices of at most FeedSize events, each chunked from
+	// its own start, instead of one pass over the whole trace — the
+	// input shape Stream.Feed gets from the online autotuner. Output
+	// must be bit-identical to the one-shot path (state carries across
+	// slices); the streaming pass of TestEngineEquivalence holds the
+	// engine to that. 0 replays each trace whole.
 	FeedSize int
 }
 
@@ -71,14 +75,16 @@ type Options struct {
 // sweep consumes it.
 const defaultChunk = 4096
 
-// Job is one predictor configuration registered with a sweep (Add),
-// or a perfect-meta hybrid over several of them (AddAny). After
-// Sweep.Run returns nil, its accessors expose the per-benchmark
+// Job is one predictor configuration registered with a sweep (Add,
+// AddSpec), or a perfect-meta hybrid over several of them (AddAny).
+// After Sweep.Run returns nil, its accessors expose the per-benchmark
 // results.
 type Job struct {
 	mk    func() core.Predictor // nil for an AddAny job
+	spec  string                // AddSpec: the canonical spec, the shared-result key
+	mask  bool                  // the replay records a whole-trace hit mask
 	comps []*Job                // AddAny: the component jobs
-	slot  int                   // Add: index in Sweep.jobs
+	slot  int                   // Add, AddSpec: index in Sweep.jobs
 	per   []metrics.BenchResult
 }
 
@@ -92,10 +98,10 @@ func (j *Job) Weighted() float64 { return metrics.WeightedMean(j.per) }
 
 // Sweep collects work over a fixed benchmark list, then executes all
 // of it in one Run. Four kinds of work are supported: predictor
-// configurations (Add) and perfect-meta hybrids over them (AddAny)
-// share a single chunked replay per benchmark; per-benchmark trace
-// scans (AddScan) and free-form tasks (AddTask) run as their own units
-// on the same pool. A Sweep is not safe for concurrent registration;
+// configurations (Add, AddSpec) and perfect-meta hybrids over them
+// (AddAny) share a single chunked replay per benchmark; per-benchmark
+// trace scans (AddScan) and free-form tasks (AddTask) run as their own
+// units on the same pool. A Sweep is not safe for concurrent registration;
 // Run may be called once.
 type Sweep struct {
 	opts    Options
@@ -127,24 +133,61 @@ func (s *Sweep) Add(mk func() core.Predictor) *Job {
 	return j
 }
 
+// AddSpec registers the predictor configuration spec like Add, and
+// shares its result across sweeps on the same TraceCache: the first
+// sweep to replay (benchmark, budget, spec) publishes the result there,
+// and every other sweep that registers spec reads it instead of
+// replaying. Stride, FCM and DFCM specs without an update delay —
+// the kinds with a concrete mask loop (core.RunBatchHits) — also
+// publish their whole-trace hit mask, so an AddAny over them is scored
+// even in a sweep that did not replay them. In Reference mode an
+// AddSpec job is an Add job: it neither reads nor fills the cache.
+// AddSpec returns the existing job for a spec already registered on
+// this sweep, and panics on a spec that fails Validate.
+func (s *Sweep) AddSpec(spec core.Spec) *Job {
+	if err := spec.Validate(); err != nil {
+		panic("engine: AddSpec: " + err.Error())
+	}
+	key := spec.String()
+	for _, j := range s.jobs {
+		if j.spec == key {
+			return j
+		}
+	}
+	j := s.Add(func() core.Predictor {
+		p, _ := spec.New() // validated above
+		return p
+	})
+	j.spec = key
+	j.mask = spec.Delay == 0 && (spec.Kind == "stride" || spec.Kind == "fcm" || spec.Kind == "dfcm")
+	return j
+}
+
 // AddAny registers a perfect-meta hybrid over jobs already registered
-// with Add on this sweep: an event counts as correct when any
-// component predicted it, as in core.PerfectHybrid. The job runs no
-// predictor of its own. Its components record per-event hit masks
-// during the shared replay and the job counts the OR of those masks,
-// which is exact because a perfect meta-predictor never feeds one
-// component's outcome to another. In Reference mode the job replays a
-// real core.PerfectHybrid built from the components' factories. AddAny
-// panics on no components or on a component that is not an Add job of
-// this sweep.
+// with Add or AddSpec on this sweep: an event counts as correct when
+// any component predicted it, as in core.PerfectHybrid. The job runs
+// no predictor of its own. Its components record whole-trace hit masks
+// (or publish them, see AddSpec) and the job counts the OR of those
+// masks, which is exact because a perfect meta-predictor never feeds
+// one component's outcome to another. In Reference mode the job
+// replays a real core.PerfectHybrid built from the components'
+// factories. AddAny panics on no components, on a component that is
+// not an Add or AddSpec job of this sweep, and on an AddSpec component
+// that publishes no mask.
 func (s *Sweep) AddAny(comps ...*Job) *Job {
 	if len(comps) == 0 {
 		panic("engine: AddAny needs at least one component")
 	}
 	for _, c := range comps {
 		if c.mk == nil || c.slot >= len(s.jobs) || s.jobs[c.slot] != c {
-			panic("engine: AddAny component is not an Add job of this sweep")
+			panic("engine: AddAny component is not an Add or AddSpec job of this sweep")
 		}
+		if c.spec != "" && !c.mask {
+			panic("engine: AddAny component " + c.spec + " publishes no hit mask")
+		}
+	}
+	for _, c := range comps {
+		c.mask = true
 	}
 	j := &Job{comps: comps}
 	s.anys = append(s.anys, j)
@@ -218,54 +261,97 @@ func (s *Sweep) replayBench(bi int) error {
 	if err != nil {
 		return err
 	}
-	preds := make([]core.Predictor, len(s.jobs))
-	for ji, j := range s.jobs {
-		preds[ji] = j.mk()
-	}
-	var results []core.Result
 	if s.opts.Reference {
-		results = make([]core.Result, len(s.jobs), len(s.jobs)+len(s.anys))
-		for ji, p := range preds {
-			results[ji] = core.Run(p, trace.NewReader(tr))
+		for _, j := range s.jobs {
+			j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.Run(j.mk(), trace.NewReader(tr))}
 		}
 		for _, a := range s.anys {
 			comps := make([]core.Predictor, len(a.comps))
 			for i, c := range a.comps {
 				comps[i] = c.mk()
 			}
-			results = append(results, core.Run(core.NewPerfectHybrid(comps...), trace.NewReader(tr)))
+			a.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.Run(core.NewPerfectHybrid(comps...), trace.NewReader(tr))}
 		}
-	} else {
-		// The one-shot offline replay is the streaming core fed the
-		// whole trace: Feed chunks it at ChunkSize internally, so this
-		// is byte-identical to the pre-Stream replayChunks call.
-		anys := make([][]int, len(s.anys))
-		for k, a := range s.anys {
-			for _, c := range a.comps {
-				anys[k] = append(anys[k], c.slot)
-			}
-		}
-		st := newAnyStream(preds, anys, s.opts.ChunkSize)
-		if fs := s.opts.FeedSize; fs > 0 {
-			for start := 0; start < len(tr); start += fs {
-				end := start + fs
-				if end > len(tr) {
-					end = len(tr)
-				}
-				st.Feed(tr[start:end])
-			}
-		} else {
-			st.Feed(tr)
-		}
-		results = st.Finalize()
+		return nil
 	}
+
+	// Claim every AddSpec job's shared result. This replay runs the
+	// jobs it claimed and the Add jobs; another sweep runs the rest.
+	var run []*Job
+	owned := make([]*resultEntry, len(s.jobs))
+	foreign := make([]*resultEntry, len(s.jobs))
+	for ji, j := range s.jobs {
+		if j.spec != "" {
+			e, owner := s.cache.claim(bench, s.budget, j.spec)
+			if !owner {
+				foreign[ji] = e
+				continue
+			}
+			owned[ji] = e
+		}
+		run = append(run, j)
+	}
+	results := make([]core.Result, len(s.jobs))
+	masks := make([][]uint64, len(s.jobs))
+	s.replay(run, masks, results, tr)
+	for ji, e := range owned {
+		if e != nil {
+			e.res, e.mask = results[ji], masks[ji]
+			close(e.done)
+		}
+	}
+	// Wait on the other sweeps' claims only now that every claim of
+	// this replay is published: an owner never waits before it
+	// publishes, so no cycle of waits can form (DESIGN.md §9).
+	for ji, e := range foreign {
+		if e != nil {
+			<-e.done
+			results[ji], masks[ji] = e.res, e.mask
+		}
+	}
+
 	for ji, j := range s.jobs {
 		j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: results[ji]}
 	}
-	for k, j := range s.anys {
-		j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: results[len(s.jobs)+k]}
+	for _, a := range s.anys {
+		var correct uint64
+		for w := range core.HitWords(len(tr)) {
+			var m uint64
+			for _, c := range a.comps {
+				m |= masks[c.slot][w]
+			}
+			correct += uint64(bits.OnesCount64(m))
+		}
+		a.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.Result{Predictions: uint64(len(tr)), Correct: correct}}
 	}
 	return nil
+}
+
+// replay runs the given jobs over tr in one chunked pass, or in
+// FeedSize slices, into their slots of results; a job with the mask
+// flag gets a fresh whole-trace hit mask in its slot of masks.
+func (s *Sweep) replay(run []*Job, masks [][]uint64, results []core.Result, tr trace.Trace) {
+	preds := make([]core.Predictor, len(run))
+	runMasks := make([][]uint64, len(run))
+	for k, j := range run {
+		preds[k] = j.mk()
+		if j.mask {
+			masks[j.slot] = make([]uint64, core.HitWords(len(tr)))
+			runMasks[k] = masks[j.slot]
+		}
+	}
+	runResults := make([]core.Result, len(run))
+	scratch := make([]uint64, core.HitWords(s.opts.ChunkSize))
+	feed := len(tr)
+	if s.opts.FeedSize > 0 {
+		feed = s.opts.FeedSize
+	}
+	for start := 0; start < len(tr); start += feed {
+		replayChunks(preds, runMasks, runResults, tr[start:min(start+feed, len(tr))], start, s.opts.ChunkSize, scratch)
+	}
+	for k, j := range run {
+		results[j.slot] = runResults[k]
+	}
 }
 
 // runPool executes the units on a bounded worker pool and returns the

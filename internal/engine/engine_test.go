@@ -381,7 +381,263 @@ func BenchmarkEngineReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replayChunks(preds, nil, nil, results, tr, defaultChunk)
+		replayChunks(preds, nil, results, tr, 0, defaultChunk, nil)
 	}
 	b.ReportMetric(float64(len(tr)*len(preds)), "events/op")
+}
+
+// resultStats reads the cache's shared-result bookkeeping.
+func (c *TraceCache) resultStats() (entries, claims int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.results), c.claims
+}
+
+// raggedGen serves traces whose lengths differ per benchmark and are
+// not multiples of a mask word, so mask tails and per-benchmark
+// bookkeeping are both exercised.
+func raggedGen() Generator {
+	lens := map[string]int{"a": 9_001, "b": 6_143, "c": 4_099}
+	return func(name string, budget uint64) (trace.Trace, error) {
+		return synthTrace(lens[name]), nil
+	}
+}
+
+// sharedSweep registers specs with AddSpec, then one AddAny per entry
+// of anys (indices into specs), and returns the jobs in that order.
+func sharedSweep(s *Sweep, specs []string, anys [][]int) []*Job {
+	var jobs []*Job
+	for _, str := range specs {
+		sp, err := core.ParseSpec(str)
+		if err != nil {
+			panic(err)
+		}
+		jobs = append(jobs, s.AddSpec(sp))
+	}
+	comps := jobs
+	for _, members := range anys {
+		var js []*Job
+		for _, c := range members {
+			js = append(js, comps[c])
+		}
+		jobs = append(jobs, s.AddAny(js...))
+	}
+	return jobs
+}
+
+// TestAddSpecSharesResultsAcrossSweeps: two sweeps with overlapping
+// AddSpec jobs, run concurrently or one after the other on one cache,
+// give every job — AddAny hybrids over components the other sweep
+// claimed included — exactly the per-benchmark results of Reference
+// sweeps; each (benchmark, spec) is claimed, so replayed, exactly
+// once; and every published mask is the whole-trace RunBatchHits
+// mask, at feed sizes and chunk sizes that leave chunks off the mask
+// word grid.
+func TestAddSpecSharesResultsAcrossSweeps(t *testing.T) {
+	benches := []string{"a", "b", "c"}
+	specsA := []string{"stride:8", "fcm:8:10", "dfcm:8:10", "dfcm:8:6", "lvp:8", "dfcm:8:10:32:16"}
+	anysA := [][]int{{0, 3}}
+	specsB := []string{"fcm:8:10", "dfcm:8:10", "stride:8", "fcm:8:6", "lvp:8", "2delta:8"}
+	anysB := [][]int{{2, 0}, {2, 1}, {3, 1, 2}}
+	distinct := map[string]bool{}
+	for _, sp := range append(append([]string(nil), specsA...), specsB...) {
+		distinct[sp] = true
+	}
+
+	reference := func(specs []string, anys [][]int) [][]metrics.BenchResult {
+		s := NewSweep(Options{Reference: true}, NewTraceCache(raggedGen()), benches, 0)
+		jobs := sharedSweep(s, specs, anys)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]metrics.BenchResult
+		for _, j := range jobs {
+			out = append(out, j.PerBench())
+		}
+		return out
+	}
+	wantA, wantB := reference(specsA, anysA), reference(specsB, anysB)
+
+	for _, opts := range []Options{{}, {FeedSize: 509}, {FeedSize: 4093}, {ChunkSize: 63}} {
+		for _, concurrent := range []bool{false, true} {
+			cache := NewTraceCache(raggedGen())
+			a, b := NewSweep(opts, cache, benches, 0), NewSweep(opts, cache, benches, 0)
+			jobsA, jobsB := sharedSweep(a, specsA, anysA), sharedSweep(b, specsB, anysB)
+			errs := make([]error, 2)
+			if concurrent {
+				var wg sync.WaitGroup
+				for i, s := range []*Sweep{a, b} {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[i] = s.Run()
+					}()
+				}
+				wg.Wait()
+			} else {
+				errs[0], errs[1] = a.Run(), b.Run()
+			}
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, c := range map[string]struct {
+				jobs []*Job
+				want [][]metrics.BenchResult
+			}{"A": {jobsA, wantA}, "B": {jobsB, wantB}} {
+				for ji, j := range c.jobs {
+					for bi := range benches {
+						if got, want := j.PerBench()[bi], c.want[ji][bi]; got != want {
+							t.Errorf("%+v concurrent=%v sweep %s job %d bench %d: got %+v, reference %+v",
+								opts, concurrent, name, ji, bi, got, want)
+						}
+					}
+				}
+			}
+			entries, claims := cache.resultStats()
+			if want := len(benches) * len(distinct); entries != want || claims != want {
+				t.Errorf("%+v concurrent=%v: %d entries, %d claims; want %d of each", opts, concurrent, entries, claims, want)
+			}
+			checkPublishedMasks(t, cache)
+		}
+	}
+}
+
+// checkPublishedMasks: every published mask equals the one a single
+// RunBatchHits over the whole trace records, and exactly the kinds
+// with a concrete mask loop publish one.
+func checkPublishedMasks(t *testing.T, cache *TraceCache) {
+	t.Helper()
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	for k, e := range cache.results {
+		sp, err := core.ParseSpec(k.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMask := sp.Delay == 0 && (sp.Kind == "stride" || sp.Kind == "fcm" || sp.Kind == "dfcm")
+		if (e.mask != nil) != wantMask {
+			t.Errorf("%s on %s: published mask %v, want %v", k.spec, k.name, e.mask != nil, wantMask)
+			continue
+		}
+		if e.mask == nil {
+			continue
+		}
+		tr := cache.entries[k.traceKey].tr
+		p, _ := sp.New()
+		want := make([]uint64, core.HitWords(len(tr)))
+		if r := core.RunBatchHits(p, tr, want); r != e.res {
+			t.Errorf("%s on %s: published %+v, whole-trace replay %+v", k.spec, k.name, e.res, r)
+		}
+		for w := range want {
+			if e.mask[w] != want[w] {
+				t.Errorf("%s on %s: mask word %d = %#x, want %#x", k.spec, k.name, w, e.mask[w], want[w])
+				break
+			}
+		}
+	}
+}
+
+// TestResultCacheLifetime: a Reference sweep neither fills nor reads
+// the shared results, a default sweep fills them, and Reset drops
+// them so the next sweep replays (claims) afresh.
+func TestResultCacheLifetime(t *testing.T) {
+	cache := NewTraceCache(raggedGen())
+	run := func(opts Options) {
+		s := NewSweep(opts, cache, []string{"a", "b"}, 0)
+		sharedSweep(s, []string{"stride:8", "dfcm:8:10"}, [][]int{{0, 1}})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(Options{Reference: true})
+	if entries, claims := cache.resultStats(); entries != 0 || claims != 0 {
+		t.Fatalf("Reference sweep touched the result cache: %d entries, %d claims", entries, claims)
+	}
+	run(Options{})
+	run(Options{})
+	if entries, claims := cache.resultStats(); entries != 4 || claims != 4 {
+		t.Fatalf("two default sweeps: %d entries, %d claims; want 4 and 4", entries, claims)
+	}
+	cache.Reset()
+	if entries, _ := cache.resultStats(); entries != 0 {
+		t.Fatalf("Reset kept %d result entries", entries)
+	}
+	run(Options{})
+	if entries, claims := cache.resultStats(); entries != 4 || claims != 8 {
+		t.Fatalf("sweep after Reset: %d entries, %d claims; want 4 and 8", entries, claims)
+	}
+}
+
+// TestAddSpecRegistration: a spec registered twice (in any canonically
+// equal form) is one job; an invalid spec panics; and AddAny refuses
+// an AddSpec component that publishes no mask.
+func TestAddSpecRegistration(t *testing.T) {
+	s := NewSweep(Options{}, NewTraceCache(raggedGen()), []string{"a"}, 0)
+	j := s.AddSpec(core.Spec{Kind: "dfcm", L1: 8, L2: 10})
+	if s.AddSpec(core.Spec{Kind: "dfcm", L1: 8, L2: 10, Width: 32}) != j {
+		t.Error("canonically equal spec registered a second job")
+	}
+	if s.AddSpec(core.Spec{Kind: "dfcm", L1: 8, L2: 11}) == j {
+		t.Error("distinct spec returned the existing job")
+	}
+	lvp := s.AddSpec(core.Spec{Kind: "lvp", L1: 8})
+	for name, f := range map[string]func(){
+		"invalid spec":    func() { s.AddSpec(core.Spec{Kind: "nope", L1: 8}) },
+		"maskless AddAny": func() { s.AddAny(j, lvp) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestOrBitsAt: the bit-offset mask write ORs exactly the source bits
+// into place at every offset within a word, for sources ending on and
+// off a word boundary, and leaves every other bit alone.
+func TestOrBitsAt(t *testing.T) {
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	for off := 0; off < 64; off++ {
+		for _, n := range []int{1, 63, 64, 65, 200} {
+			src := make([]uint64, core.HitWords(n))
+			for w := range src {
+				src[w] = next()
+			}
+			if n%64 != 0 {
+				src[len(src)-1] &= 1<<(n%64) - 1
+			}
+			base := 64 * 2 // start inside the mask, past word 0
+			dst := make([]uint64, core.HitWords(base+off+n)+1)
+			want := make([]bool, 64*len(dst))
+			for i := range want {
+				if i < base+off || i >= base+off+n {
+					if next()&1 == 1 {
+						want[i] = true
+						dst[i>>6] |= 1 << (i & 63)
+					}
+				} else {
+					k := i - base - off
+					want[i] = src[k>>6]>>(k&63)&1 == 1
+				}
+			}
+			orBitsAt(dst, base+off, src)
+			for i, w := range want {
+				if got := dst[i>>6]>>(i&63)&1 == 1; got != w {
+					t.Fatalf("off %d n %d: bit %d = %v, want %v", off, n, i, got, w)
+				}
+			}
+		}
+	}
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math/bits"
-
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -15,45 +13,51 @@ import (
 // results is exactly one core.Run per predictor, because predictor
 // state carries across chunks and results are plain counters.
 //
-// Perfect-meta hybrids ride on the same pass. A predictor i with a
-// non-nil hits[i] (chunk-sized, reused every chunk) runs through
-// core.RunBatchHits instead, recording which events it got right.
-// Each any-set anys[k] lists predictor indices; its result,
-// results[len(preds)+k], counts the events at least one of them hit —
-// the popcount of the OR of their masks. Every predictor trains on
-// every event whether or not it is part of an any-set, so the count
-// is exactly core.PerfectHybrid's over fresh copies of the members.
+// A predictor i with a non-nil masks[i] runs through
+// core.RunBatchHits instead and records which events it got right in
+// masks[i], a zeroed mask over a whole trace of which tr is the slice
+// starting at event off. A chunk that starts on a mask word is written
+// in place; any other (a ChunkSize or FeedSize that is not a multiple
+// of 64) is recorded into scratch, of at least core.HitWords(chunk)
+// words, and ORed in at its bit offset.
 //
 // This is the engine's per-event-chunk hot path: vplint's
 // hot-path-alloc rule lints every replay* function in this package,
 // so the loop body must stay free of fmt, reflect, defer, goroutine
 // launches and interface boxing.
-func replayChunks(preds []core.Predictor, hits [][]uint64, anys [][]int, results []core.Result, tr trace.Trace, chunk int) {
+func replayChunks(preds []core.Predictor, masks [][]uint64, results []core.Result, tr trace.Trace, off, chunk int, scratch []uint64) {
 	for start := 0; start < len(tr); start += chunk {
 		batch := tr[start:min(start+chunk, len(tr))]
+		at := off + start
 		for i, p := range preds {
 			var r core.Result
-			if i < len(hits) && hits[i] != nil {
-				r = core.RunBatchHits(p, batch, hits[i])
-			} else {
+			switch {
+			case i >= len(masks) || masks[i] == nil:
 				r = core.RunBatch(p, batch)
+			case at%64 == 0:
+				r = core.RunBatchHits(p, batch, masks[i][at/64:])
+			default:
+				r = core.RunBatchHits(p, batch, scratch)
+				orBitsAt(masks[i], at, scratch[:core.HitWords(len(batch))])
 			}
 			results[i].Predictions += r.Predictions
 			results[i].Correct += r.Correct
 		}
-		words := core.HitWords(len(batch))
-		for k, members := range anys {
-			var correct uint64
-			for w := 0; w < words; w++ {
-				var m uint64
-				for _, c := range members {
-					m |= hits[c][w]
-				}
-				correct += uint64(bits.OnesCount64(m))
-			}
-			r := &results[len(preds)+k]
-			r.Predictions += uint64(len(batch))
-			r.Correct += correct
+	}
+}
+
+// orBitsAt ORs the bits of src into dst from bit off of dst on. The
+// bits of src past the last event it records must be zero, as
+// core.RunBatchHits leaves them, so nothing spills past the events dst
+// covers.
+func orBitsAt(dst []uint64, off int, src []uint64) {
+	dst = dst[off/64:]
+	sh := uint(off % 64)
+	for i, v := range src {
+		dst[i] |= v << sh
+		// v >> 64 is 0, so an aligned off never spills.
+		if hi := v >> (64 - sh); hi != 0 {
+			dst[i+1] |= hi
 		}
 	}
 }

@@ -64,7 +64,7 @@ func runAblationOrder(cfg Config) (*Result, error) {
 	for i, l2 := range l2s {
 		l2 := l2
 		pairs[i] = pair{
-			d5: s.Add(func() core.Predictor { return core.NewDFCM(16, l2) }),
+			d5: s.AddSpec(core.Spec{Kind: "dfcm", L1: 16, L2: l2}),
 			d3: s.Add(func() core.Predictor {
 				return core.NewDFCMHash(16, l2, 32, hash.NewFSR(l2, 3))
 			}),
@@ -94,14 +94,14 @@ func runAblationMeta(cfg Config) (*Result, error) {
 	// The perfect hybrid is scored from its components' hit masks
 	// (AddAny). The counter hybrid stays a real predictor: its selector
 	// reads both components' outcomes, so they do not train alone.
-	st := s.Add(func() core.Predictor { return core.NewStride(16) })
+	st := s.AddSpec(core.Spec{Kind: "stride", L1: 16})
 	type trio struct{ d, ph, mh *engine.Job }
 	trios := make([]trio, len(l2s))
 	for i, l2 := range l2s {
 		l2 := l2
-		f := s.Add(func() core.Predictor { return core.NewFCM(16, l2) })
+		f := s.AddSpec(core.Spec{Kind: "fcm", L1: 16, L2: l2})
 		trios[i] = trio{
-			d:  s.Add(func() core.Predictor { return core.NewDFCM(16, l2) }),
+			d:  s.AddSpec(core.Spec{Kind: "dfcm", L1: 16, L2: l2}),
 			ph: s.AddAny(st, f),
 			mh: s.Add(func() core.Predictor {
 				return core.NewMetaHybrid(core.NewStride(16), core.NewFCM(16, l2), 16)

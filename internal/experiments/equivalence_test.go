@@ -3,7 +3,7 @@ package experiments
 // The engine port's correctness contract: every experiment renders
 // byte-identical output whether it runs through the chunked,
 // worker-pooled engine, the streaming-input path (Options.FeedSize
-// feeds each replay in bounded chunks through engine.Stream), or the
+// feeds each replay in bounded slices, as engine.Stream is fed), or the
 // pre-engine sequential reference path (engine.Options.Reference).
 // All experiment accumulation is integer arithmetic into
 // index-addressed slots read back in submission order, so neither

@@ -15,10 +15,9 @@ func runFig10a(cfg Config) (*Result, error) {
 	type pair struct{ f, d *engine.Job }
 	pairs := make([]pair, len(l2Sweep))
 	for i, l2 := range l2Sweep {
-		l2 := l2
 		pairs[i] = pair{
-			f: s.Add(func() core.Predictor { return core.NewFCM(16, l2) }),
-			d: s.Add(func() core.Predictor { return core.NewDFCM(16, l2) }),
+			f: s.AddSpec(core.Spec{Kind: "fcm", L1: 16, L2: l2}),
+			d: s.AddSpec(core.Spec{Kind: "dfcm", L1: 16, L2: l2}),
 		}
 	}
 	if err := s.Run(); err != nil {
@@ -64,8 +63,8 @@ func runFig10b(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig10b", Title: "per-benchmark accuracy, FCM vs DFCM (2^16 level-1, 2^12 level-2)"}
 	t := &metrics.Table{Headers: []string{"benchmark", "FCM", "DFCM", "rel.gain"}}
 	s := newSweep(cfg)
-	fj := s.Add(func() core.Predictor { return core.NewFCM(16, 12) })
-	dj := s.Add(func() core.Predictor { return core.NewDFCM(16, 12) })
+	fj := s.AddSpec(core.Spec{Kind: "fcm", L1: 16, L2: 12})
+	dj := s.AddSpec(core.Spec{Kind: "dfcm", L1: 16, L2: 12})
 	if err := s.Run(); err != nil {
 		return nil, err
 	}

@@ -20,14 +20,15 @@ func runFig16(cfg Config) (*Result, error) {
 	// The hybrids' components are the plain FCM/DFCM columns plus one
 	// shared stride job: a perfect meta-predictor leaves every
 	// component to train on its own, so AddAny scores each hybrid from
-	// its components' hit masks instead of replaying it.
-	st := s.Add(func() core.Predictor { return core.NewStride(16) })
+	// its components' hit masks instead of replaying it. The FCM/DFCM
+	// columns are Figure 10(a)'s, so AddSpec reads them from whichever
+	// sweep replayed them first.
+	st := s.AddSpec(core.Spec{Kind: "stride", L1: 16})
 	type row struct{ f, d, sf, sd *engine.Job }
 	rows := make([]row, len(l2Sweep))
 	for i, l2 := range l2Sweep {
-		l2 := l2
-		f := s.Add(func() core.Predictor { return core.NewFCM(16, l2) })
-		d := s.Add(func() core.Predictor { return core.NewDFCM(16, l2) })
+		f := s.AddSpec(core.Spec{Kind: "fcm", L1: 16, L2: l2})
+		d := s.AddSpec(core.Spec{Kind: "dfcm", L1: 16, L2: l2})
 		rows[i] = row{f: f, d: d, sf: s.AddAny(st, f), sd: s.AddAny(st, d)}
 	}
 	if err := s.Run(); err != nil {
