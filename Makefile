@@ -1,5 +1,7 @@
 # Verify loop for the repo. `make verify` is the default gate for any
-# change: the tier-1 build+test pass (ROADMAP.md), go vet, the race
+# change: the tier-1 build+test pass (ROADMAP.md) — which includes the
+# *ZeroAlloc tests holding the engine replay, the RunBatch loops, serve
+# dispatch and the autotune mirror tap at 0 allocs/op — go vet, the race
 # detector over the concurrent packages (internal/serve is the first
 # concurrent code in the repo; its tests — and the cmd tests that
 # drive a live server — must stay race-clean), and the project's own
@@ -8,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet lint race bench serve-bench fuzz
+.PHONY: verify build test vet lint race bench fuzz
 
 verify: vet build test race lint
 
@@ -48,38 +50,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHash$$' -fuzztime=$(FUZZTIME) ./internal/hash
 	$(GO) test -run='^$$' -fuzz='^FuzzReadAuto$$' -fuzztime=$(FUZZTIME) ./internal/trace
 
-# Experiment-suite benchmarks, snapshotted to BENCH_engine.json
-# (name → ns/op, allocs/op). The full suite runs one iteration per
-# figure; the per-event predictor microbenchmarks, batch loops, engine
-# replay and serve dispatch paths re-run at steady state
-# ($(BENCH_COUNT) counts; benchjson keeps the minimum ns/op and
-# maximum allocs/op across repeats) since their 1x numbers are pure
-# noise. Before/after comparisons belong to one machine and one
-# session: run both trees, or use perfbench (see BENCHMARK.json).
-#
-# The -zero gates are the CI alloc-regression tripwire: the build
-# fails if the steady-state engine replay, the TAGE or perfect-hybrid
-# batch loop, either serve dispatch benchmark, or the autotune
-# mirror-tap path reports any allocs/op.
-BENCH_COUNT ?= 3
+# Every go test benchmark: predictor and batch-loop microbenchmarks,
+# snapshot, hash, engine replay, serving and autotune paths, and the
+# three figure benchmarks. It prints numbers and gates nothing: the
+# zero-alloc budgets are the *ZeroAlloc tests in `make test`, and
+# before/after comparisons belong to perfbench (BENCHMARK.json).
 bench:
-	{ $(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkPredict' -benchmem -count=$(BENCH_COUNT) . ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkRunBatch' -benchmem -count=$(BENCH_COUNT) . ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkSnapshot' -benchmem -count=$(BENCH_COUNT) . ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkEngineReplay$$' -benchmem ./internal/engine/ ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkServe' -benchmem -count=$(BENCH_COUNT) ./internal/serve/ ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkServe' -benchmem -count=$(BENCH_COUNT) ./internal/autotune/ ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_engine.json \
-	    -cmd "make bench (go test -bench . -benchtime 1x -benchmem; Predict*/RunBatch*/Snapshot*/EngineReplay/Serve* at steady state)" \
-	    -zero BenchmarkEngineReplay \
-	    -zero BenchmarkRunBatchTAGE \
-	    -zero BenchmarkRunBatchPerfectHybrid \
-	    -zero BenchmarkServeDispatchRunBatch \
-	    -zero BenchmarkServeDispatchPredictBatch \
-	    -zero BenchmarkServeMirrorTap
-	@cat BENCH_engine.json
-
-# Per-op predictor baselines for the serving hot path.
-serve-bench:
-	$(GO) test -bench=PredictUpdate -benchmem ./internal/core/
+	$(GO) test -run='^$$' -bench=. -benchmem ./...

@@ -1,10 +1,13 @@
 package repro
 
-// One testing.B benchmark per paper table/figure: each bench runs the
-// corresponding experiment end to end (trace generation is cached
-// after the first iteration, so steady-state iterations measure the
-// predictor sweeps). benchBudget keeps -bench=. runs tractable; the
-// CLI (cmd/dfcmsim) runs the same experiments at full budgets.
+// Figure benchmarks: three engine-backed experiments run end to end
+// (trace generation is cached after the first iteration, so steady-
+// state iterations measure the predictor sweeps). CI runs them one
+// iteration under the race detector, so a racy sweep fails even if it
+// produces correct output. TestEngineEquivalence checks the output of
+// every experiment, and perfbench (BENCHMARK.json) times regeneration
+// from a cold cache; the CLI (cmd/dfcmsim) runs the experiments at
+// full budgets.
 
 import (
 	"bytes"
@@ -18,17 +21,9 @@ import (
 	"repro/internal/workload"
 )
 
-const benchBudget = 120_000
+var benchCfg = experiments.Config{Budget: 120_000}
 
-var benchCfg = experiments.Config{Budget: benchBudget}
-
-// smallCfg restricts the costliest sweeps to a benchmark subset.
-var smallCfg = experiments.Config{
-	Budget:     benchBudget,
-	Benchmarks: []string{"li", "ijpeg", "m88ksim", "go"},
-}
-
-func runExperiment(b *testing.B, id string, cfg experiments.Config) {
+func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	e, err := experiments.Get(id)
 	if err != nil {
@@ -36,7 +31,7 @@ func runExperiment(b *testing.B, id string, cfg experiments.Config) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(cfg)
+		res, err := e.Run(benchCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,50 +41,29 @@ func runExperiment(b *testing.B, id string, cfg experiments.Config) {
 	}
 }
 
-func BenchmarkTable1(b *testing.B)         { runExperiment(b, "table1", benchCfg) }
-func BenchmarkFig3(b *testing.B)           { runExperiment(b, "fig3", smallCfg) }
-func BenchmarkFig4(b *testing.B)           { runExperiment(b, "fig4", benchCfg) }
-func BenchmarkFig6(b *testing.B)           { runExperiment(b, "fig6", benchCfg) }
-func BenchmarkFig8(b *testing.B)           { runExperiment(b, "fig8", benchCfg) }
-func BenchmarkFig9(b *testing.B)           { runExperiment(b, "fig9", benchCfg) }
-func BenchmarkFig10a(b *testing.B)         { runExperiment(b, "fig10a", benchCfg) }
-func BenchmarkFig10b(b *testing.B)         { runExperiment(b, "fig10b", benchCfg) }
-func BenchmarkFig11a(b *testing.B)         { runExperiment(b, "fig11a", smallCfg) }
-func BenchmarkFig11b(b *testing.B)         { runExperiment(b, "fig11b", smallCfg) }
-func BenchmarkFig12(b *testing.B)          { runExperiment(b, "fig12", smallCfg) }
-func BenchmarkFig13(b *testing.B)          { runExperiment(b, "fig13", smallCfg) }
-func BenchmarkFig14(b *testing.B)          { runExperiment(b, "fig14", smallCfg) }
-func BenchmarkFig16(b *testing.B)          { runExperiment(b, "fig16", smallCfg) }
-func BenchmarkFig17(b *testing.B)          { runExperiment(b, "fig17", smallCfg) }
-func BenchmarkSec44(b *testing.B)          { runExperiment(b, "sec44", smallCfg) }
-func BenchmarkExtConfidence(b *testing.B)  { runExperiment(b, "ext-confidence", smallCfg) }
-func BenchmarkExtRelatedWork(b *testing.B) { runExperiment(b, "ext-relatedwork", smallCfg) }
-func BenchmarkExtPredictability(b *testing.B) {
-	runExperiment(b, "ext-predictability", smallCfg)
-}
-func BenchmarkExtILP(b *testing.B)        { runExperiment(b, "ext-ilp", smallCfg) }
-func BenchmarkAblationHash(b *testing.B)  { runExperiment(b, "ablation-hash", smallCfg) }
-func BenchmarkAblationOrder(b *testing.B) { runExperiment(b, "ablation-order", smallCfg) }
-func BenchmarkAblationMeta(b *testing.B)  { runExperiment(b, "ablation-meta", smallCfg) }
-func BenchmarkAblationIndex(b *testing.B) { runExperiment(b, "ablation-index", smallCfg) }
+func BenchmarkFig6(b *testing.B)   { runExperiment(b, "fig6") }
+func BenchmarkFig9(b *testing.B)   { runExperiment(b, "fig9") }
+func BenchmarkFig10a(b *testing.B) { runExperiment(b, "fig10a") }
 
 // --- microbenchmarks: predictor update throughput ---
 //
-// These drive predictors through the experiment-shaped loop
-// (trace-replay with the workload package). The per-operation
-// baselines for the serving hot path — one Predict+Update round trip
-// in isolation — live next to the predictors as
-// internal/core.Benchmark*_PredictUpdate; compare against those when
-// chasing internal/serve throughput regressions.
+// Each op is one Predict+Update round trip — the per-event cost of
+// the serving hot path through the Predictor interface — over
+// loopTrace, a mixed loop body of constants, strides, repeating
+// contexts and noise.
 
 // benchSink keeps the Predict result observable so the compiler
 // cannot treat the call as dead code and elide it.
 var benchSink uint64
 
+// loopTrace is the 4096-event trace every microbenchmark replays.
+func loopTrace() trace.Trace {
+	return trace.Collect(workload.Interleave(workload.LoopBody(0x1000, 2, 6, 4, 2), 4096), 0)
+}
+
 func benchPredictor(b *testing.B, p core.Predictor) {
 	b.Helper()
-	body := workload.LoopBody(0x1000, 2, 6, 4, 2)
-	events := trace.Collect(workload.Interleave(body, 4096), 0)
+	events := loopTrace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,10 +86,12 @@ func BenchmarkPredictTAGE(b *testing.B) {
 func BenchmarkPredictDFCMDelayed(b *testing.B) {
 	benchPredictor(b, core.NewDelayed(core.NewDFCM(14, 12), 64))
 }
+func BenchmarkPredictMetaHybrid(b *testing.B) {
+	benchPredictor(b, core.NewMetaHybrid(core.NewStride(14), core.NewDFCM(14, 12), 14))
+}
 func BenchmarkPredictPerfectHybrid(b *testing.B) {
 	p := core.NewPerfectHybrid(core.NewStride(14), core.NewFCM(14, 12))
-	body := workload.LoopBody(0x1000, 2, 6, 4, 2)
-	events := trace.Collect(workload.Interleave(body, 4096), 0)
+	events := loopTrace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -129,11 +105,12 @@ func BenchmarkPredictPerfectHybrid(b *testing.B) {
 // dispatched once to the predictor's concrete-type loop. ns/op is per
 // event, directly comparable to the BenchmarkPredict* per-event
 // numbers above; the gap between the two is the per-event interface
-// dispatch the batch path eliminates.
+// dispatch the batch path eliminates. internal/core's
+// TestRunBatchZeroAlloc holds every predictor here at zero allocations
+// per batch.
 func benchRunBatch(b *testing.B, p core.Predictor) {
 	b.Helper()
-	body := workload.LoopBody(0x1000, 2, 6, 4, 2)
-	events := trace.Collect(workload.Interleave(body, 4096), 0)
+	events := loopTrace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(events) {
@@ -175,8 +152,7 @@ func warmedDFCMSnapshot(b *testing.B) (core.Spec, core.Predictor, []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := workload.LoopBody(0x1000, 2, 6, 4, 2)
-	core.Run(p, trace.NewReader(trace.Collect(workload.Interleave(body, 4096), 0)))
+	core.Run(p, trace.NewReader(loopTrace()))
 	snap, err := snapshot.Capture(spec, p, snapshot.Meta{Session: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -226,15 +202,25 @@ func BenchmarkSnapshotDecodeDFCM(b *testing.B) {
 	}
 }
 
+// --- microbenchmark: table reset ---
+//
+// Reset is what a serving session pays when it is recycled: a warm
+// serving-sized DFCM cleared back to its power-on state.
+
+func BenchmarkResetDFCM(b *testing.B) {
+	p := core.NewDFCM(14, 12)
+	core.Run(p, trace.NewReader(loopTrace()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Reset()
+	}
+}
+
 // --- microbenchmark: simulator throughput ---
 
 func BenchmarkSimulator(b *testing.B) {
-	p, err := progs.Program("li")
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	var executed uint64
 	for i := 0; i < b.N; i++ {
 		tr, err := progs.TraceFor("li", 100_000)
@@ -243,8 +229,5 @@ func BenchmarkSimulator(b *testing.B) {
 		}
 		executed += uint64(len(tr))
 	}
-	_ = p
 	b.ReportMetric(float64(executed)/float64(b.N), "events/run")
 }
-
-func BenchmarkExtLoads(b *testing.B) { runExperiment(b, "ext-loads", smallCfg) }

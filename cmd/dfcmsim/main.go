@@ -5,8 +5,9 @@
 // Usage:
 //
 //	dfcmsim list
-//	dfcmsim run [-budget N] [-bench a,b,...] [-csv] [-j N] <id> [<id>...]
-//	dfcmsim all [-budget N] [-bench a,b,...] [-j N]
+//	dfcmsim run [-budget N] [-bench a,b,...] [-csv] [-out dir] [-j N] <id> [<id>...]
+//	dfcmsim all [-budget N] [-bench a,b,...] [-csv] [-out dir] [-j N]
+//	dfcmsim verify [-budget N] [-bench a,b,...] [-j N]
 //
 // Experiment ids match DESIGN.md's per-experiment index (fig3,
 // fig10a, table1, ...). The budget is the per-benchmark instruction
@@ -35,11 +36,11 @@ func main() {
 	case "list":
 		list()
 	case "run":
-		if err := run(os.Args[2:], false); err != nil {
+		if err := run(os.Args[2:]); err != nil {
 			fatal(err)
 		}
 	case "all":
-		if err := run(append(os.Args[2:], allIDs()...), false); err != nil {
+		if err := run(append(os.Args[2:], allIDs()...)); err != nil {
 			fatal(err)
 		}
 	case "verify":
@@ -109,8 +110,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   dfcmsim list
   dfcmsim run [-budget N] [-bench a,b] [-csv] [-out dir] [-j N] <id> [<id>...]
-  dfcmsim all [-budget N] [-bench a,b] [-j N]
-  dfcmsim verify [-budget N] [-j N]`)
+  dfcmsim all [-budget N] [-bench a,b] [-csv] [-out dir] [-j N]
+  dfcmsim verify [-budget N] [-bench a,b] [-j N]`)
 }
 
 func fatal(err error) {
@@ -133,7 +134,7 @@ func allIDs() []string {
 	return ids
 }
 
-func run(args []string, _ bool) error {
+func run(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	budget := fs.Uint64("budget", 0, "instructions per benchmark (0 = default 1M)")
 	bench := fs.String("bench", "", "comma-separated benchmark subset (default: all eight)")

@@ -14,11 +14,8 @@
 //
 // Start with README.md, DESIGN.md (system inventory and
 // per-experiment index) and EXPERIMENTS.md (paper-vs-measured
-// results). The benchmarks in bench_test.go regenerate each artifact:
-//
-//	go test -bench=BenchmarkFig10a -benchmem
-//
-// and the CLI runs them with configurable budgets:
+// results). The CLI regenerates every artifact with a configurable
+// budget:
 //
 //	go run ./cmd/dfcmsim all -budget 5000000
 package repro

@@ -435,27 +435,52 @@ func TestNewValidation(t *testing.T) {
 
 // --- benchmarks ---
 
-// BenchmarkServeMirrorTap measures the serving hot path with the
-// mirror tap armed: Engine.RunBatch plus the sample-hash, pooled copy
-// and enqueue/shed in Mirror. The tuner is closed (consumer paused) so
-// after warmup every batch takes the deterministic shed path — the
-// bench isolates the tap overhead the serving tier pays, and `make
-// bench` gates it at 0 allocs/op.
-func BenchmarkServeMirrorTap(b *testing.B) {
+// tappedEngine returns an engine serving session 1 with a closed
+// tuner's mirror tap reattached, so enqueue/shed runs with no
+// consumer, and a 2048-event frame. Sixteen warm-up batches create
+// the session, fill the pool and the mailbox: from then on every
+// batch takes the deterministic shed path.
+func tappedEngine(t testing.TB) (*serve.Engine, trace.Trace) {
+	t.Helper()
 	bootSpec := core.Spec{Kind: "dfcm", L1: 10, L2: 10}
-	e := newEngine(b, bootSpec)
+	e := newEngine(t, bootSpec)
 	tn, err := New(Config{Engine: e, Boot: bootSpec, Candidates: []core.Spec{{Kind: "dfcm", L1: 12, L2: 12}}, MailboxDepth: 8})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	tn.Close()
-	e.SetTap(tn) // reattach: enqueue/shed with no consumer
+	e.SetTap(tn)
 	events := strideEvents(0x1000, 2048, 1, 3)
-	for i := 0; i < 16; i++ { // warm session, pool, and fill the mailbox
+	for i := 0; i < 16; i++ {
 		if _, st := e.RunBatch(1, events); st != serve.StatusOK {
-			b.Fatalf("warmup: %v", st)
+			t.Fatalf("warmup: %v", st)
 		}
 	}
+	return e, events
+}
+
+// TestMirrorTapZeroAlloc: with the mirror tap armed, a served batch
+// — Engine.RunBatch plus the sample hash, pooled copy and
+// enqueue/shed in Mirror — allocates nothing.
+func TestMirrorTapZeroAlloc(t *testing.T) {
+	if leakcheck.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
+	}
+	e, events := tappedEngine(t)
+	var st serve.Status
+	if n := testing.AllocsPerRun(100, func() { _, st = e.RunBatch(1, events) }); n != 0 {
+		t.Errorf("tapped RunBatch: %.1f allocs/op, want 0", n)
+	}
+	if st != serve.StatusOK {
+		t.Errorf("tapped RunBatch: %v", st)
+	}
+}
+
+// BenchmarkServeMirrorTap measures the serving hot path with the
+// mirror tap armed: the tap overhead the serving tier pays.
+// TestMirrorTapZeroAlloc holds its allocations at zero.
+func BenchmarkServeMirrorTap(b *testing.B) {
+	e, events := tappedEngine(b)
 	b.SetBytes(int64(len(events) * 8))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -467,9 +492,9 @@ func BenchmarkServeMirrorTap(b *testing.B) {
 }
 
 // benchAutotune drives served RunBatch throughput with or without a
-// live tuner (loop running, shadows training), for the on/off pair in
-// BENCH_engine.json: the delta is the full cost of online autotuning
-// at sample rate 1.
+// live tuner (loop running, shadows training): the delta between
+// BenchmarkServeAutotuneOn and BenchmarkServeAutotuneOff is the full
+// cost of online autotuning at sample rate 1.
 func benchAutotune(b *testing.B, tuned bool) {
 	bootSpec := core.Spec{Kind: "dfcm", L1: 10, L2: 10}
 	e := newEngine(b, bootSpec)

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // batchTrace builds a deterministic mixed-pattern event stream over
@@ -226,6 +228,34 @@ func TestRunBatchConcreteMatchesGeneric(t *testing.T) {
 			if got := RunBatch(p, tr[:n]); got != (Result{Predictions: uint64(n)}) {
 				t.Fatalf("%s n=%d: RunBatch %+v, want %d misses", name, n, got, n)
 			}
+		}
+	}
+}
+
+// TestRunBatchZeroAlloc: a warm predictor's concrete batch loop
+// allocates nothing per call, for every predictor a root
+// BenchmarkRunBatch* drives and on the same loop-body trace.
+func TestRunBatchZeroAlloc(t *testing.T) {
+	if leakcheck.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
+	}
+	events := trace.Collect(workload.Interleave(workload.LoopBody(0x1000, 2, 6, 4, 2), 4096), 0)
+	for _, tc := range []struct {
+		name string
+		p    Predictor
+	}{
+		{"dfcm", NewDFCM(14, 12)},
+		{"fcm", NewFCM(14, 12)},
+		{"stride", NewStride(14)},
+		{"tage", NewTAGE(14, 12, 32, 4, 8, 4, 64)},
+		{"perfect-hybrid", NewPerfectHybrid(NewStride(14), NewFCM(14, 12))},
+	} {
+		var correct uint64
+		if n := testing.AllocsPerRun(10, func() { correct += RunBatch(tc.p, events).Correct }); n != 0 {
+			t.Errorf("%s: RunBatch %.1f allocs/call, want 0", tc.name, n)
+		}
+		if correct == 0 {
+			t.Errorf("%s: no hits on the loop-body trace", tc.name)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -365,11 +366,10 @@ func TestGeneratorErrorPropagates(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineReplay measures the steady-state chunked replay loop
-// itself: predictors are constructed once outside the timed region,
-// so ReportAllocs shows the per-pass allocation count of the hot
-// path, which must stay at zero.
-func BenchmarkEngineReplay(b *testing.B) {
+// steadyReplay returns one pass of the steady-state chunked replay
+// loop, with its predictors, results and trace built once up front,
+// and the number of events the pass feeds.
+func steadyReplay() (pass func(), events int) {
 	tr := synthTrace(1 << 16)
 	preds := []core.Predictor{
 		core.NewFCM(10, 12),
@@ -378,12 +378,31 @@ func BenchmarkEngineReplay(b *testing.B) {
 		core.NewLastValue(10),
 	}
 	results := make([]core.Result, len(preds))
+	return func() { replayChunks(preds, nil, results, tr, 0, defaultChunk, nil) }, len(tr) * len(preds)
+}
+
+// TestReplayChunksZeroAlloc: once its predictors exist, a replay pass
+// allocates nothing.
+func TestReplayChunksZeroAlloc(t *testing.T) {
+	if leakcheck.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
+	}
+	pass, _ := steadyReplay()
+	if n := testing.AllocsPerRun(10, pass); n != 0 {
+		t.Errorf("replayChunks: %.1f allocs/pass, want 0", n)
+	}
+}
+
+// BenchmarkEngineReplay measures the steady-state chunked replay loop
+// itself; TestReplayChunksZeroAlloc holds its allocations at zero.
+func BenchmarkEngineReplay(b *testing.B) {
+	pass, events := steadyReplay()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replayChunks(preds, nil, results, tr, 0, defaultChunk, nil)
+		pass()
 	}
-	b.ReportMetric(float64(len(tr)*len(preds)), "events/op")
+	b.ReportMetric(float64(events), "events/op")
 }
 
 // resultStats reads the cache's shared-result bookkeeping.

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/progs"
@@ -156,28 +155,6 @@ var engineOpts engine.Options
 // replay of each benchmark's trace.
 func newSweep(cfg Config) *engine.Sweep {
 	return engine.NewSweep(engineOpts, traceCache, cfg.benchmarks(), cfg.budget())
-}
-
-// sweep runs one predictor configuration over every configured
-// benchmark and returns the per-benchmark results in benchmark order.
-// Single-configuration convenience over newSweep; multi-configuration
-// experiments batch their configs into one engine sweep instead.
-func sweep(cfg Config, mk func() core.Predictor) ([]metrics.BenchResult, error) {
-	s := newSweep(cfg)
-	j := s.Add(mk)
-	if err := s.Run(); err != nil {
-		return nil, err
-	}
-	return j.PerBench(), nil
-}
-
-// weighted runs a sweep and returns only the weighted-mean accuracy.
-func weighted(cfg Config, mk func() core.Predictor) (float64, error) {
-	per, err := sweep(cfg, mk)
-	if err != nil {
-		return 0, err
-	}
-	return metrics.WeightedMean(per), nil
 }
 
 // l2Sweep is the standard level-2 size axis of the paper's figures.

@@ -343,12 +343,12 @@ func TestTraceCacheCoherent(t *testing.T) {
 func TestWeightedHelper(t *testing.T) {
 	// Run norm to completion: its stride-heavy normalization loops
 	// come after the (noisy) PRNG fill phase.
-	acc, err := weighted(Config{Budget: 2_000_000, Benchmarks: []string{"norm"}},
-		func() core.Predictor { return core.NewStride(12) })
-	if err != nil {
+	s := newSweep(Config{Budget: 2_000_000, Benchmarks: []string{"norm"}})
+	j := s.AddSpec(core.Spec{Kind: "stride", L1: 12})
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if acc < 0.4 {
+	if acc := j.Weighted(); acc < 0.4 {
 		t.Errorf("stride accuracy on norm = %.3f, expected high (stride-heavy program)", acc)
 	}
 }
