@@ -58,7 +58,7 @@ var benchSink uint64
 
 // loopTrace is the 4096-event trace every microbenchmark replays.
 func loopTrace() trace.Trace {
-	return trace.Collect(workload.Interleave(workload.LoopBody(0x1000, 2, 6, 4, 2), 4096), 0)
+	return workload.Interleave(workload.LoopBody(0x1000, 2, 6, 4, 2), 4096)
 }
 
 func benchPredictor(b *testing.B, p core.Predictor) {
@@ -152,7 +152,7 @@ func warmedDFCMSnapshot(b *testing.B) (core.Spec, core.Predictor, []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	core.Run(p, trace.NewReader(loopTrace()))
+	core.Run(p, loopTrace())
 	snap, err := snapshot.Capture(spec, p, snapshot.Meta{Session: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -209,7 +209,7 @@ func BenchmarkSnapshotDecodeDFCM(b *testing.B) {
 
 func BenchmarkResetDFCM(b *testing.B) {
 	p := core.NewDFCM(14, 12)
-	core.Run(p, trace.NewReader(loopTrace()))
+	core.Run(p, loopTrace())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

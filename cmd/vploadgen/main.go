@@ -134,7 +134,7 @@ func loadEvents(c *loadConfig) (trace.Trace, error) {
 	}
 	body := workload.LoopBody(0x1000, nc, ns, ny, nr)
 	rounds := (c.events + len(body) - 1) / len(body)
-	return trace.Collect(workload.Interleave(body, rounds), c.events), nil
+	return workload.Interleave(body, rounds)[:c.events], nil
 }
 
 // report aggregates one load run.

@@ -54,7 +54,7 @@ func writeTempTrace(t *testing.T, tr trace.Trace) string {
 
 func sampleTrace(n int) trace.Trace {
 	body := workload.LoopBody(0x1000, 2, 6, 4, 2)
-	return trace.Collect(workload.Interleave(body, (n+13)/14), n)
+	return workload.Interleave(body, (n+13)/14)[:n]
 }
 
 // TestEndToEndEquivalence is the acceptance-criteria test: replaying
@@ -70,7 +70,7 @@ func TestEndToEndEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(offline, trace.NewReader(events))
+	want := core.Run(offline, events)
 
 	addr := startServer(t, spec)
 	rep, err := runLoad(&loadConfig{
@@ -107,7 +107,7 @@ func TestSplitModeMultiConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(offline, trace.NewReader(events)).Correct
+	want := core.Run(offline, events).Correct
 
 	addr := startServer(t, spec)
 	const conns = 3
@@ -237,7 +237,7 @@ func TestClusterSmokeMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(offline, trace.NewReader(events)).Correct
+	want := core.Run(offline, events).Correct
 
 	before, err := fetchRouterStats(adminURL)
 	if err != nil {

@@ -48,7 +48,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	res := core.Run(p, trace.NewReader(tr))
+	res := core.Run(p, tr)
 	fmt.Printf("predictor:   %s\n", p.Name())
 	fmt.Printf("size:        %d bits (%.1f Kbit)\n", p.SizeBits(), float64(p.SizeBits())/1024)
 	fmt.Printf("predictions: %d\n", res.Predictions)

@@ -27,7 +27,7 @@ func writeSnap(t *testing.T, dir, name string, spec core.Spec, n int, meta snaps
 			trace.Event{PC: 0x504, Value: uint32(i) * 4},
 		)
 	}
-	core.Run(p, trace.NewReader(events[:n]))
+	core.Run(p, events[:n])
 	snap, err := snapshot.Capture(spec, p, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestDiffTAGE(t *testing.T) {
 			v += strides[i%len(strides)]
 			events[i] = trace.Event{PC: 0x500, Value: v}
 		}
-		core.Run(p, trace.NewReader(events))
+		core.Run(p, events)
 		snap, err := snapshot.Capture(spec, p, meta)
 		if err != nil {
 			t.Fatal(err)

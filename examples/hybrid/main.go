@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/progs"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 			log.Fatal(err)
 		}
 		run := func(p core.Predictor) float64 {
-			return core.Run(p, trace.NewReader(tr)).Accuracy()
+			return core.Run(p, tr).Accuracy()
 		}
 		fcm := run(core.NewFCM(16, 12))
 		dfcm := run(core.NewDFCM(16, 12))

@@ -71,7 +71,7 @@ func main() {
 		core.NewFCM(8, 12),
 		core.NewDFCM(8, 12),
 	} {
-		res := core.Run(p, trace.NewReader(reloaded))
+		res := core.Run(p, reloaded)
 		fmt.Printf("%-14s accuracy %.4f (%d/%d)\n",
 			p.Name(), res.Accuracy(), res.Correct, res.Predictions)
 	}

@@ -41,7 +41,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	// 3. Predict with the full ladder; the paper's ordering must hold
 	// on this context-heavy benchmark.
 	acc := func(p core.Predictor) float64 {
-		return core.Run(p, trace.NewReader(reloaded)).Accuracy()
+		return core.Run(p, reloaded).Accuracy()
 	}
 	lvp := acc(core.NewLastValue(12))
 	stride := acc(core.NewStride(12))
@@ -71,8 +71,8 @@ func TestCentralClaimAcrossSuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fcm := core.Run(core.NewFCM(16, 12), trace.NewReader(tr)).Accuracy()
-		dfcm := core.Run(core.NewDFCM(16, 12), trace.NewReader(tr)).Accuracy()
+		fcm := core.Run(core.NewFCM(16, 12), tr).Accuracy()
+		dfcm := core.Run(core.NewDFCM(16, 12), tr).Accuracy()
 		if dfcm < fcm {
 			t.Errorf("%s: DFCM %.3f below FCM %.3f", bench, dfcm, fcm)
 		}
@@ -116,7 +116,7 @@ func TestWeightedMeanMatchesManualAggregation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := core.Run(core.NewDFCM(12, 10), trace.NewReader(tr))
+		r := core.Run(core.NewDFCM(12, 10), tr)
 		manual.Add(r)
 		per = append(per, metrics.BenchResult{Benchmark: b, Result: r})
 	}

@@ -218,12 +218,8 @@ func (a *Analyzer) update(pc, value uint32, i uint32, e *l1Entry, l2 *l2Entry, i
 }
 
 // Run classifies an entire trace.
-func (a *Analyzer) Run(src trace.Source) {
-	for {
-		e, more := src.Next()
-		if !more {
-			return
-		}
+func (a *Analyzer) Run(tr trace.Trace) {
+	for _, e := range tr {
 		a.Step(e.PC, e.Value)
 	}
 }

@@ -84,7 +84,7 @@ func TestAnalyzerMatchesCorePredictor(t *testing.T) {
 func TestCategoriesPartitionPredictions(t *testing.T) {
 	an := New(6, 8, true)
 	tr := mixedTrace(2000, 9)
-	an.Run(trace.NewReader(tr))
+	an.Run(tr)
 	var sum uint64
 	for _, c := range an.Counts() {
 		sum += c.Predictions
@@ -152,7 +152,7 @@ func TestHashAliasingLowAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := New(10, 8, false) // small L2 to force hash pressure
-	an.Run(trace.NewReader(tr))
+	an.Run(tr)
 	c := an.Counts()
 	if c[Hash].Predictions == 0 {
 		t.Fatal("no hash aliasing on a small level-2 table")
@@ -176,9 +176,9 @@ func TestDFCMShiftsAliasMixTowardL2PC(t *testing.T) {
 		}
 	}
 	fcm := New(8, 10, false)
-	fcm.Run(trace.NewReader(tr))
+	fcm.Run(tr)
 	dfcm := New(8, 10, true)
-	dfcm.Run(trace.NewReader(tr))
+	dfcm.Run(tr)
 	f := float64(fcm.Counts()[L2PC].Predictions) / float64(len(tr))
 	d := float64(dfcm.Counts()[L2PC].Predictions) / float64(len(tr))
 	if d <= f {

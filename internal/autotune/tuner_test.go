@@ -103,7 +103,7 @@ func TestSwapEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := (swapAt + 1) * B
-	core.Run(ref, trace.NewReader(events[:cut]))
+	core.Run(ref, events[:cut])
 
 	// From the swap point the session and the reference must agree on
 	// every batch's hit count...
@@ -113,7 +113,7 @@ func TestSwapEquivalence(t *testing.T) {
 		if st != serve.StatusOK {
 			t.Fatalf("post-swap batch %d: %v", i, st)
 		}
-		want := core.Run(ref, trace.NewReader(chunk)).Correct
+		want := core.Run(ref, chunk).Correct
 		if uint64(got) != want {
 			t.Fatalf("post-swap batch %d: %d hits, reference %d", i, got, want)
 		}
@@ -393,7 +393,7 @@ func TestSampledSubsequenceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(ref, trace.NewReader(mirrored))
+	core.Run(ref, mirrored)
 	// White-box: compare the candidate shadow's state directly. The
 	// Sync above flushed the mailbox and nothing has mirrored since, so
 	// the loop is idle and the states map quiescent.

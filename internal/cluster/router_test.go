@@ -23,7 +23,7 @@ var clusterSpec = core.Spec{Kind: "dfcm", L1: 10, L2: 10}
 
 func clusterEvents(basePC uint32, n int) trace.Trace {
 	body := workload.LoopBody(basePC, 2, 6, 4, 2)
-	return trace.Collect(workload.Interleave(body, (n+13)/14), n)
+	return workload.Interleave(body, (n+13)/14)[:n]
 }
 
 func offlineHits(tb testing.TB, events trace.Trace) uint64 {
@@ -32,7 +32,7 @@ func offlineHits(tb testing.TB, events trace.Trace) uint64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return core.Run(p, trace.NewReader(events)).Correct
+	return core.Run(p, events).Correct
 }
 
 // startBackend runs one vpserve (engine + server) on a loopback

@@ -6,7 +6,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Concrete-type batch loops. The generic RunBatch pays two interface
+// Concrete-type batch loops. The generic loop (Run) pays two interface
 // dispatches per event (Predict, Update) that the compiler cannot
 // devirtualize or inline; the methods here run the same per-event
 // logic on the concrete receiver, so table indexing, branchless
@@ -222,37 +222,6 @@ func (p *TAGE) RunBatch(batch []trace.Event) Result {
 	return res
 }
 
-// RunBatch implements BatchRunner. The slot scans stay as loops (n is
-// tiny and data-dependent); the win is the devirtualized per-event
-// calls.
-func (p *LastN) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if p.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		p.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner. The queue drain inside Predict and
-// the enqueue inside Update run on the concrete receiver; the wrapped
-// predictor is still reached through its interface (the delay model
-// is not a hot-path predictor).
-func (d *Delayed) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if d.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		d.Update(e.PC, e.Value)
-	}
-	return res
-}
-
 // hybridWords is the mask size PerfectHybrid.RunBatch works in: a
 // sub-chunk of at most 64*hybridWords events.
 const hybridWords = 64
@@ -281,59 +250,6 @@ func (p *PerfectHybrid) RunBatch(batch []trace.Event) Result {
 		for _, w := range acc[:words] {
 			res.Correct += uint64(bits.OnesCount64(w))
 		}
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner.
-func (p *MetaHybrid) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if p.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		p.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner (counts raw accuracy, like the
-// generic loop; confidence splits remain RunConfident's job).
-func (c *CounterConfidence) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if c.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		c.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner (raw accuracy; see CounterConfidence).
-func (h *HashTag) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if h.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		h.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner (raw accuracy; see CounterConfidence).
-func (c *Combined) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if c.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		c.Update(e.PC, e.Value)
 	}
 	return res
 }

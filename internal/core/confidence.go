@@ -45,18 +45,13 @@ func (r ConfidenceResult) Coverage() float64 {
 	return float64(r.Confident.Predictions) / float64(r.All.Predictions)
 }
 
-// RunConfident drives p over src, scoring both the raw accuracy and
+// RunConfident drives p over tr, scoring both the raw accuracy and
 // the accuracy of confident predictions.
-func RunConfident(p ConfidentPredictor, src trace.Source) ConfidenceResult {
+func RunConfident(p ConfidentPredictor, tr trace.Trace) ConfidenceResult {
 	var r ConfidenceResult
-	for {
-		e, more := src.Next()
-		if !more {
-			return r
-		}
-		pc, value := e.PC, e.Value
-		pred, conf := p.PredictConfident(pc)
-		correct := pred == value
+	for _, e := range tr {
+		pred, conf := p.PredictConfident(e.PC)
+		correct := pred == e.Value
 		r.All.Predictions++
 		if correct {
 			r.All.Correct++
@@ -67,8 +62,9 @@ func RunConfident(p ConfidentPredictor, src trace.Source) ConfidenceResult {
 				r.Confident.Correct++
 			}
 		}
-		p.Update(pc, value)
+		p.Update(e.PC, e.Value)
 	}
+	return r
 }
 
 // CounterConfidence gates any predictor with a per-instruction table

@@ -17,7 +17,7 @@ func TestCounterConfidenceGatesCorrectly(t *testing.T) {
 		noise = noise*1664525 + 1013904223
 		tr = append(tr, trace.Event{PC: 0x104, Value: noise})
 	}
-	res := RunConfident(p, trace.NewReader(tr))
+	res := RunConfident(p, tr)
 	if res.All.Predictions != uint64(len(tr)) {
 		t.Fatalf("predictions = %d", res.All.Predictions)
 	}
@@ -75,7 +75,7 @@ func TestHashTagConfidentOnCleanContexts(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		tr = append(tr, trace.Event{PC: 0x40, Value: pattern[i%len(pattern)]})
 	}
-	res := RunConfident(p, trace.NewReader(tr))
+	res := RunConfident(p, tr)
 	if res.Coverage() < 0.8 {
 		t.Errorf("coverage = %.3f, want high on an alias-free workload", res.Coverage())
 	}
@@ -105,7 +105,7 @@ func TestHashTagDetectsAliasing(t *testing.T) {
 			tr = append(tr, trace.Event{PC: uint32(0x1000 + 4*k), Value: p[i%len(p)]})
 		}
 	}
-	res := RunConfident(mk(), trace.NewReader(tr))
+	res := RunConfident(mk(), tr)
 	if res.Coverage() > 0.9 {
 		t.Errorf("coverage = %.3f on a heavily aliased table, want gating", res.Coverage())
 	}
@@ -119,8 +119,8 @@ func TestHashTagDetectsAliasing(t *testing.T) {
 func TestHashTagDoesNotPerturbPredictions(t *testing.T) {
 	// Wrapping must not change what is predicted, only add the signal.
 	tr := mixedTrace(2000, 21)
-	plain := Run(NewDFCM(8, 10), trace.NewReader(tr))
-	wrapped := Run(NewHashTag(NewDFCM(8, 10), 6, 7), trace.NewReader(tr))
+	plain := Run(NewDFCM(8, 10), tr)
+	wrapped := Run(NewHashTag(NewDFCM(8, 10), 6, 7), tr)
 	if plain != wrapped {
 		t.Errorf("wrapped result %+v != plain %+v", wrapped, plain)
 	}
@@ -198,7 +198,7 @@ func TestCombinedConfidence(t *testing.T) {
 		tr = append(tr, trace.Event{PC: 0x104, Value: noise})
 	}
 	comb, _ := mk()
-	res := RunConfident(comb, trace.NewReader(tr))
+	res := RunConfident(comb, tr)
 	if res.Confident.Accuracy() < 0.99 {
 		t.Errorf("combined confident accuracy = %.3f", res.Confident.Accuracy())
 	}
@@ -208,7 +208,7 @@ func TestCombinedConfidence(t *testing.T) {
 
 	// The AND must never exceed either component's coverage.
 	p2 := NewDFCM(10, 10)
-	tagOnly := RunConfident(NewHashTag(p2, 8, 3), trace.NewReader(tr))
+	tagOnly := RunConfident(NewHashTag(p2, 8, 3), tr)
 	if res.Coverage() > tagOnly.Coverage()+1e-9 {
 		t.Errorf("combined coverage %.3f exceeds tag coverage %.3f",
 			res.Coverage(), tagOnly.Coverage())
@@ -216,8 +216,8 @@ func TestCombinedConfidence(t *testing.T) {
 
 	// Predictions must be identical to the bare predictor's.
 	comb2, _ := mk()
-	plain := Run(NewDFCM(10, 10), trace.NewReader(tr))
-	wrapped := Run(comb2, trace.NewReader(tr))
+	plain := Run(NewDFCM(10, 10), tr)
+	wrapped := Run(comb2, tr)
 	if plain != wrapped {
 		t.Errorf("combined wrapper changed predictions: %+v vs %+v", wrapped, plain)
 	}

@@ -6,14 +6,14 @@ import (
 	"repro/internal/trace"
 )
 
-// seqSource builds a trace where every event comes from one static
+// seqTrace builds a trace where every event comes from one static
 // instruction at pc.
-func seqSource(pc uint32, values []uint32) trace.Source {
+func seqTrace(pc uint32, values []uint32) trace.Trace {
 	t := make(trace.Trace, len(values))
 	for i, v := range values {
 		t[i] = trace.Event{PC: pc, Value: v}
 	}
-	return trace.NewReader(t)
+	return t
 }
 
 // strideSeq returns n values start, start+s, start+2s, ...
@@ -70,7 +70,7 @@ func TestResultAccuracy(t *testing.T) {
 
 func TestRunCountsEvents(t *testing.T) {
 	p := NewLastValue(8)
-	res := Run(p, seqSource(0x40, []uint32{7, 7, 7, 7}))
+	res := Run(p, seqTrace(0x40, []uint32{7, 7, 7, 7}))
 	if res.Predictions != 4 {
 		t.Fatalf("predictions = %d, want 4", res.Predictions)
 	}
@@ -84,7 +84,7 @@ func TestRunUsesScorer(t *testing.T) {
 	// A perfect hybrid of LVP and stride must get a stride sequence
 	// right even though LVP alone would not.
 	h := NewPerfectHybrid(NewLastValue(6), NewStride(6))
-	res := Run(h, seqSource(0x40, strideSeq(100, 4, 50)))
+	res := Run(h, seqTrace(0x40, strideSeq(100, 4, 50)))
 	if res.Predictions != 50 {
 		t.Fatalf("predictions = %d", res.Predictions)
 	}

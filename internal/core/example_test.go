@@ -33,7 +33,7 @@ func ExampleRun() {
 		{PC: 0x40, Value: 5}, {PC: 0x40, Value: 5},
 		{PC: 0x40, Value: 5}, {PC: 0x40, Value: 5},
 	}
-	res := core.Run(core.NewLastValue(8), trace.NewReader(tr))
+	res := core.Run(core.NewLastValue(8), tr)
 	fmt.Printf("%d/%d correct\n", res.Correct, res.Predictions)
 	// Output:
 	// 3/4 correct
@@ -80,7 +80,7 @@ func ExampleNewHashTag() {
 	for i := 0; i < 200; i++ {
 		tr = append(tr, trace.Event{PC: 0x40, Value: uint32(i * 4)})
 	}
-	res := core.RunConfident(ht, trace.NewReader(tr))
+	res := core.RunConfident(ht, tr)
 	fmt.Printf("confident accuracy %.2f at coverage %.2f\n",
 		res.Confident.Accuracy(), res.Coverage())
 	// Output:

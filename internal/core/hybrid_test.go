@@ -26,9 +26,9 @@ func mixedTrace(n int, seed int64) trace.Trace {
 
 func TestPerfectHybridAtLeastAsGoodAsComponents(t *testing.T) {
 	tr := mixedTrace(2000, 1)
-	stride := Run(NewStride(8), trace.NewReader(tr)).Accuracy()
-	fcm := Run(NewFCM(8, 12), trace.NewReader(tr)).Accuracy()
-	hybrid := Run(NewPerfectHybrid(NewStride(8), NewFCM(8, 12)), trace.NewReader(tr)).Accuracy()
+	stride := Run(NewStride(8), tr).Accuracy()
+	fcm := Run(NewFCM(8, 12), tr).Accuracy()
+	hybrid := Run(NewPerfectHybrid(NewStride(8), NewFCM(8, 12)), tr).Accuracy()
 	if hybrid < stride || hybrid < fcm {
 		t.Errorf("perfect hybrid %.3f below components (stride %.3f, fcm %.3f)",
 			hybrid, stride, fcm)
@@ -82,8 +82,8 @@ func TestDFCMBeatsPerfectStrideFCMHybridUnderPressure(t *testing.T) {
 			tr = append(tr, trace.Event{PC: uint32(0x1000 + (64+k)*4), Value: pattern[(i+k)%len(pattern)]})
 		}
 	}
-	dfcm := Run(NewDFCM(10, 8), trace.NewReader(tr)).Accuracy()
-	hybrid := Run(NewPerfectHybrid(NewStride(10), NewFCM(10, 8)), trace.NewReader(tr)).Accuracy()
+	dfcm := Run(NewDFCM(10, 8), tr).Accuracy()
+	hybrid := Run(NewPerfectHybrid(NewStride(10), NewFCM(10, 8)), tr).Accuracy()
 	if dfcm <= hybrid-0.02 {
 		t.Errorf("DFCM %.3f should be competitive with perfect STRIDE+FCM %.3f under L2 pressure",
 			dfcm, hybrid)
@@ -94,7 +94,7 @@ func TestMetaHybridTracksBetterComponent(t *testing.T) {
 	// On a pure stride workload the meta predictor must converge to
 	// the stride component.
 	h := NewMetaHybrid(NewStride(8), NewLastValue(8), 8)
-	res := Run(h, seqSource(0x40, strideSeq(0, 3, 500)))
+	res := Run(h, seqTrace(0x40, strideSeq(0, 3, 500)))
 	if res.Accuracy() < 0.95 {
 		t.Errorf("meta hybrid accuracy = %.3f, want >= 0.95 on stride workload", res.Accuracy())
 	}
@@ -102,14 +102,14 @@ func TestMetaHybridTracksBetterComponent(t *testing.T) {
 
 func TestMetaHybridBetweenComponentsOnMixedTrace(t *testing.T) {
 	tr := mixedTrace(3000, 7)
-	a := Run(NewStride(8), trace.NewReader(tr)).Accuracy()
-	b := Run(NewLastValue(8), trace.NewReader(tr)).Accuracy()
-	m := Run(NewMetaHybrid(NewStride(8), NewLastValue(8), 8), trace.NewReader(tr)).Accuracy()
+	a := Run(NewStride(8), tr).Accuracy()
+	b := Run(NewLastValue(8), tr).Accuracy()
+	m := Run(NewMetaHybrid(NewStride(8), NewLastValue(8), 8), tr).Accuracy()
 	lo := min(a, b)
 	if m < lo-0.05 {
 		t.Errorf("meta hybrid %.3f far below both components (%.3f, %.3f)", m, a, b)
 	}
-	perfect := Run(NewPerfectHybrid(NewStride(8), NewLastValue(8)), trace.NewReader(tr)).Accuracy()
+	perfect := Run(NewPerfectHybrid(NewStride(8), NewLastValue(8)), tr).Accuracy()
 	if m > perfect {
 		t.Errorf("meta hybrid %.3f above perfect hybrid %.3f", m, perfect)
 	}

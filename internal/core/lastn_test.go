@@ -89,7 +89,7 @@ func TestLastNPanics(t *testing.T) {
 func TestClassifiedAssignsStrideToStride(t *testing.T) {
 	p := NewClassified(8, 16, 8,
 		NewLastValue(8), NewStride(8), NewFCM(8, 12))
-	res := Run(p, seqSource(0x40, strideSeq(0, 4, 400)))
+	res := Run(p, seqTrace(0x40, strideSeq(0, 4, 400)))
 	if res.Accuracy() < 0.9 {
 		t.Errorf("classified accuracy on stride = %.3f", res.Accuracy())
 	}
@@ -108,7 +108,7 @@ func TestClassifiedMarksNoiseUnpredictable(t *testing.T) {
 		noise = noise*1664525 + 1013904223
 		tr = append(tr, trace.Event{PC: 0x40, Value: noise})
 	}
-	Run(p, trace.NewReader(tr))
+	Run(p, tr)
 	if p.Unpredictable() != 1 {
 		t.Errorf("unpredictable fraction = %.2f, want 1 for pure noise", p.Unpredictable())
 	}
@@ -143,8 +143,8 @@ func TestClassifiedVsDFCM(t *testing.T) {
 	tr := mixedTrace(4000, 13)
 	cl := NewClassified(10, 16, 8,
 		NewLastValue(8), NewStride(8), NewFCM(8, 10))
-	clAcc := Run(cl, trace.NewReader(tr)).Accuracy()
-	dfcmAcc := Run(NewDFCM(10, 12), trace.NewReader(tr)).Accuracy()
+	clAcc := Run(cl, tr).Accuracy()
+	dfcmAcc := Run(NewDFCM(10, 12), tr).Accuracy()
 	if dfcmAcc < clAcc-0.02 {
 		t.Errorf("DFCM %.3f should be at least competitive with classification %.3f",
 			dfcmAcc, clAcc)

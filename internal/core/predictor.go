@@ -6,7 +6,7 @@
 // (DFCM) — and hybrid predictors with perfect or saturating-counter
 // meta-predictors.
 //
-// All predictors consume the same trace interface: a stream of
+// All predictors consume the same trace: an in-order sequence of
 // (pc, value) events where pc is the program counter of a static
 // instruction and value is the 32-bit integer register value it
 // produced. Accuracy is the fraction of events whose value was
@@ -50,11 +50,12 @@ type Scorer interface {
 
 // BatchRunner is implemented by predictors that can process a whole
 // in-memory chunk of events with a concrete-type loop. The top-level
-// RunBatch prefers it over the generic per-event loop: one interface
+// RunBatch prefers it over Run's generic per-event loop: one interface
 // dispatch per chunk instead of two per event, with the table accesses
-// and hash updates fully inlined inside the method. Semantics are
-// exactly those of the generic loop (including Score for Scorers);
-// equivalence is pinned by TestRunBatchConcreteMatchesGeneric.
+// and hash updates fully inlined inside the method. Every predictor a
+// Spec without an update delay builds implements it. Semantics are
+// exactly those of Run (including Score for Scorers); equivalence is
+// pinned by TestRunBatchConcreteMatchesGeneric.
 type BatchRunner interface {
 	// RunBatch processes the events in order and returns the result of
 	// exactly that slice. State carries across calls, like Run.
@@ -129,66 +130,43 @@ func (r *Result) Add(other Result) {
 	r.Correct += other.Correct
 }
 
-// Run drives p over all events of src and returns the accumulated
+// Run drives p over all events of tr and returns the accumulated
 // result. If p implements Scorer, its one-step Score is used;
-// otherwise each event is processed as Predict, compare, Update.
-func Run(p Predictor, src trace.Source) Result {
-	var res Result
+// otherwise each event is processed as Predict, compare, Update. Run
+// is the reference loop: it never dispatches to a BatchRunner or to
+// RunBatchHits, so the concrete loops are checked against it.
+func Run(p Predictor, tr trace.Trace) Result {
+	res := Result{Predictions: uint64(len(tr))}
 	if s, ok := p.(Scorer); ok {
-		for {
-			e, more := src.Next()
-			if !more {
-				return res
-			}
-			res.Predictions++
-			if s.Score(e.PC, e.Value) {
-				res.Correct++
-			}
-		}
-	}
-	for {
-		e, more := src.Next()
-		if !more {
-			return res
-		}
-		res.Predictions++
-		if p.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		p.Update(e.PC, e.Value)
-	}
-}
-
-// RunBatch drives p over one in-memory slice of events and returns
-// the result of exactly that slice. It is the chunked counterpart of
-// Run: callers that already hold a materialized trace avoid the
-// per-event Source.Next interface dispatch, and a sweep engine can
-// interleave many predictors over the same chunk while it is hot in
-// cache (internal/engine). Feeding consecutive chunks of a trace
-// through RunBatch and summing the results is exactly equivalent to
-// one Run over the whole trace: predictor state carries across calls
-// and Result is a plain event count.
-func RunBatch(p Predictor, batch []trace.Event) Result {
-	if b, ok := p.(BatchRunner); ok {
-		return b.RunBatch(batch)
-	}
-	var res Result
-	res.Predictions = uint64(len(batch))
-	if s, ok := p.(Scorer); ok {
-		for _, e := range batch {
+		for _, e := range tr {
 			if s.Score(e.PC, e.Value) {
 				res.Correct++
 			}
 		}
 		return res
 	}
-	for _, e := range batch {
+	for _, e := range tr {
 		if p.Predict(e.PC) == e.Value {
 			res.Correct++
 		}
 		p.Update(e.PC, e.Value)
 	}
 	return res
+}
+
+// RunBatch drives p over one in-memory slice of events and returns
+// the result of exactly that slice: p's concrete loop if p is a
+// BatchRunner, Run otherwise. A sweep engine interleaves many
+// predictors over the same chunk while it is hot in cache
+// (internal/engine). Feeding consecutive chunks of a trace through
+// RunBatch and summing the results is exactly equivalent to one Run
+// over the whole trace: predictor state carries across calls and
+// Result is a plain event count.
+func RunBatch(p Predictor, batch []trace.Event) Result {
+	if b, ok := p.(BatchRunner); ok {
+		return b.RunBatch(batch)
+	}
+	return Run(p, batch)
 }
 
 // scoreEvent judges and trains p on one event: Score for a Scorer,

@@ -60,7 +60,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement Resetter", p.Name())
 			}
-			Run(p, trace.NewReader(events)) // dirty every table
+			Run(p, events) // dirty every table
 			r.Reset()
 
 			fresh := mk()
@@ -79,7 +79,7 @@ func TestResetMatchesFresh(t *testing.T) {
 // TestTryReset covers the helper's both outcomes.
 func TestTryReset(t *testing.T) {
 	p := NewDFCM(6, 8)
-	Run(p, trace.NewReader(trainEvents(100)))
+	Run(p, trainEvents(100))
 	if !TryReset(p) {
 		t.Fatal("DFCM should be resettable")
 	}

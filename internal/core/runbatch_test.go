@@ -54,7 +54,7 @@ func TestRunBatchChunksEqualRun(t *testing.T) {
 		"tage":    func() Predictor { return NewTAGE(8, 6, 32, 4, 8, 4, 64) },
 	}
 	for name, mk := range mks {
-		want := Run(mk(), trace.NewReader(tr))
+		want := Run(mk(), tr)
 		for _, chunk := range []int{1, 13, 512, len(tr), len(tr) + 1} {
 			p := mk()
 			var got Result
@@ -79,10 +79,10 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 }
 
-// runGenericBatch is RunBatch's generic per-event loop, bypassing the
-// BatchRunner dispatch — the reference the concrete-type loops must
-// match bit for bit. It also returns each event's outcome, the
-// reference for RunBatchHits masks.
+// runGenericBatch is the generic per-event loop, written out apart
+// from Run and bypassing any BatchRunner dispatch — the reference the
+// concrete-type loops must match bit for bit. It also returns each
+// event's outcome, the reference for RunBatchHits masks.
 func runGenericBatch(p Predictor, batch []trace.Event) (Result, []bool) {
 	var res Result
 	res.Predictions = uint64(len(batch))
@@ -116,6 +116,46 @@ func checkHitMask(t *testing.T, name string, start int, mask []uint64, want []bo
 	for w := words; w < len(mask); w++ {
 		if mask[w] != ^uint64(0) {
 			t.Fatalf("%s at %d: RunBatchHits wrote word %d past the batch", name, start, w)
+		}
+	}
+}
+
+// batchPanics and scorerBatchPanics are BatchRunners whose batch
+// loops panic; every other method is the embedded predictor's.
+type batchPanics struct{ *DFCM }
+
+func (batchPanics) RunBatch([]trace.Event) Result { panic("Run dispatched to RunBatch") }
+func (batchPanics) RunBatchHits([]trace.Event, []uint64) Result {
+	panic("Run dispatched to RunBatchHits")
+}
+
+type scorerBatchPanics struct{ *PerfectHybrid }
+
+func (scorerBatchPanics) RunBatch([]trace.Event) Result { panic("Run dispatched to RunBatch") }
+
+// TestRunNeverDispatchesToBatchLoops: Run is the reference loop the
+// concrete ones are checked against, so it must reach a predictor only
+// through Score or Predict/Update, never through its batch loops, and
+// must equal the independently written generic loop.
+func TestRunNeverDispatchesToBatchLoops(t *testing.T) {
+	tr := batchTrace(3000)
+	for name, mk := range map[string]func() Predictor{
+		"predict-update": func() Predictor { return batchPanics{NewDFCM(8, 10)} },
+		"scorer": func() Predictor {
+			return scorerBatchPanics{NewPerfectHybrid(NewStride(8), NewFCM(8, 10))}
+		},
+	} {
+		p := mk()
+		if _, ok := p.(BatchRunner); !ok {
+			t.Fatalf("%s: test predictor is not a BatchRunner", name)
+		}
+		got := Run(p, tr)
+		want, _ := runGenericBatch(mk(), tr)
+		if got != want {
+			t.Errorf("%s: Run %+v, generic loop %+v", name, got, want)
+		}
+		if got.Correct == 0 || got.Correct == got.Predictions {
+			t.Errorf("%s: trace is degenerate for this predictor: %+v", name, got)
 		}
 	}
 }
@@ -163,10 +203,14 @@ func TestRunBatchConcreteMatchesGeneric(t *testing.T) {
 		"tage-1table":  func() Predictor { return NewTAGE(8, 6, 32, 1, 8, 16, 16) },
 		"tage-delayed": func() Predictor { return NewDelayed(NewTAGE(8, 6, 32, 4, 8, 4, 64), 32) },
 	}
+	// Wrappers and the related-work predictors have no concrete loop:
+	// RunBatch takes them through Run.
+	runsGeneric := map[string]bool{"lastn": true, "delayed": true, "meta": true,
+		"counterconf": true, "hashtag": true, "combined": true, "tage-delayed": true}
 	for name, mk := range mks {
 		concrete, generic, hitsP := mk(), mk(), mk()
-		if _, ok := concrete.(BatchRunner); !ok {
-			t.Errorf("%s: does not implement BatchRunner", name)
+		if _, ok := concrete.(BatchRunner); ok == runsGeneric[name] {
+			t.Errorf("%s: implements BatchRunner = %v, want %v", name, ok, !runsGeneric[name])
 			continue
 		}
 		var total Result
@@ -239,7 +283,7 @@ func TestRunBatchZeroAlloc(t *testing.T) {
 	if leakcheck.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
 	}
-	events := trace.Collect(workload.Interleave(workload.LoopBody(0x1000, 2, 6, 4, 2), 4096), 0)
+	events := workload.Interleave(workload.LoopBody(0x1000, 2, 6, 4, 2), 4096)
 	for _, tc := range []struct {
 		name string
 		p    Predictor

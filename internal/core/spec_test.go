@@ -53,16 +53,34 @@ func TestSpecNewErrors(t *testing.T) {
 	}
 }
 
+// specKinds lists every kind Spec.Validate accepts.
+var specKinds = []string{"lvp", "stride", "2delta", "fcm", "dfcm", "hybrid", "tage"}
+
 // TestSpecBuiltAreResettable: every predictor a Spec can build must be
 // recyclable in place — internal/serve depends on it.
 func TestSpecBuiltAreResettable(t *testing.T) {
-	for _, kind := range []string{"lvp", "stride", "2delta", "fcm", "dfcm", "hybrid", "tage"} {
+	for _, kind := range specKinds {
 		p, err := Spec{Kind: kind, L1: 8, L2: 8, Delay: 4}.New()
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		if _, ok := p.(Resetter); !ok {
 			t.Errorf("%s-built predictor %s is not resettable", kind, p.Name())
+		}
+	}
+}
+
+// TestSpecNewIsBatchRunner: every Spec kind builds a predictor with a
+// concrete batch loop, which the engine, serve and perfbench's
+// per-kind core probe rely on.
+func TestSpecNewIsBatchRunner(t *testing.T) {
+	for _, kind := range specKinds {
+		p, err := Spec{Kind: kind, L1: 8, L2: 8}.New()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if _, ok := p.(BatchRunner); !ok {
+			t.Errorf("%s-built predictor %s has no concrete RunBatch", kind, p.Name())
 		}
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 // TestSnapshotResumeMatchesUninterrupted is the state-level half of the
@@ -25,7 +23,7 @@ func TestSnapshotResumeMatchesUninterrupted(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement Snapshotter", p.Name())
 			}
-			Run(p, trace.NewReader(events[:cut]))
+			Run(p, events[:cut])
 
 			state := s.AppendState(nil)
 			restored := mk()
@@ -55,7 +53,7 @@ func TestSnapshotStateRoundTripStable(t *testing.T) {
 	for name, mk := range resettables() {
 		t.Run(name, func(t *testing.T) {
 			p := mk().(Snapshotter)
-			Run(p, trace.NewReader(events))
+			Run(p, events)
 			state := p.AppendState(nil)
 
 			restored := mk().(Snapshotter)
@@ -83,7 +81,7 @@ func TestRestoreStateRejectsMalformed(t *testing.T) {
 	for name, mk := range resettables() {
 		t.Run(name, func(t *testing.T) {
 			p := mk().(Snapshotter)
-			Run(p, trace.NewReader(events))
+			Run(p, events)
 			state := p.AppendState(nil)
 
 			for _, tc := range []struct {
@@ -146,7 +144,7 @@ func TestStateTablesLiveCounts(t *testing.T) {
 					t.Fatalf("fresh table %s reports %d live entries", ti.Name, ti.Live)
 				}
 			}
-			Run(p, trace.NewReader(events))
+			Run(p, events)
 			totalLive := 0
 			for _, ti := range st.StateTables() {
 				if ti.Live > ti.Entries {
@@ -185,7 +183,7 @@ func TestCombinedSnapshotSharedPredictorOnce(t *testing.T) {
 	}
 	c, _ := mk()
 	events := trainEvents(1200)
-	RunConfident(c, trace.NewReader(events))
+	RunConfident(c, events)
 
 	restored, rp := mk()
 	if err := restored.RestoreState(c.AppendState(nil)); err != nil {

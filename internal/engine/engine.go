@@ -2,16 +2,15 @@
 // benchmark) grids behind every figure of the paper — with one trace
 // replay per benchmark instead of one per configuration.
 //
-// The old harness (internal/experiments.sweep) replayed a benchmark's
-// trace from scratch for every predictor configuration, one event at a
-// time through interface calls, and fanned out one unbounded goroutine
-// per benchmark. The engine instead:
+// The sequential reference (Options.Reference) replays a benchmark's
+// trace from scratch for every predictor configuration, one event at
+// a time through core.Run. The engine instead:
 //
 //   - groups a sweep's predictor configurations by benchmark and
 //     replays each benchmark's cached trace once, feeding every
 //     configuration from that single pass in event chunks (the chunk
-//     stays hot in cache while each predictor consumes it, and the
-//     per-event Source.Next dispatch is gone — see core.RunBatch);
+//     stays hot in cache while each predictor consumes it through its
+//     concrete batch loop — see core.RunBatch);
 //   - scores perfect-meta hybrids (Sweep.AddAny) from their component
 //     configurations' per-event hit masks instead of replaying them;
 //   - shares results across sweeps: a configuration registered as a
@@ -263,14 +262,14 @@ func (s *Sweep) replayBench(bi int) error {
 	}
 	if s.opts.Reference {
 		for _, j := range s.jobs {
-			j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.Run(j.mk(), trace.NewReader(tr))}
+			j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.Run(j.mk(), tr)}
 		}
 		for _, a := range s.anys {
 			comps := make([]core.Predictor, len(a.comps))
 			for i, c := range a.comps {
 				comps[i] = c.mk()
 			}
-			a.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.Run(core.NewPerfectHybrid(comps...), trace.NewReader(tr))}
+			a.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.Run(core.NewPerfectHybrid(comps...), tr)}
 		}
 		return nil
 	}

@@ -73,7 +73,7 @@ func TestSweepMatchesPerEventRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ji, mk := range configs() {
-			want := core.Run(mk(), trace.NewReader(tr))
+			want := core.Run(mk(), tr)
 			for bi, bench := range benches {
 				got := jobs[ji].PerBench()[bi]
 				if got.Benchmark != bench {
@@ -170,7 +170,7 @@ func TestSweepAddAnyMatchesPerfectHybrid(t *testing.T) {
 			}
 		}
 		for i, mk := range comps {
-			want := core.Run(mk(), trace.NewReader(tr))
+			want := core.Run(mk(), tr)
 			for bi := range benches {
 				if g := compJobs[i].PerBench()[bi].Result; g != want {
 					t.Errorf("%+v component %d bench %d: got %+v want %+v", opts, i, bi, g, want)

@@ -8,8 +8,8 @@ import (
 // replayChunks drives every predictor over tr exactly once, in shared
 // event chunks: each chunk is fed to all predictors before the next
 // chunk is touched, so the chunk's events stay hot in cache across
-// the whole sweep while each predictor's own batch runs without
-// per-event Source dispatch (core.RunBatch). Summing per-chunk
+// the whole sweep while each predictor's own concrete batch loop
+// (core.RunBatch) runs without per-event interface dispatch. Summing per-chunk
 // results is exactly one core.Run per predictor, because predictor
 // state carries across chunks and results are plain counters.
 //

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // TestStreamFeed: feeding a trace through a Stream in slices of any
@@ -31,7 +30,7 @@ func TestStreamFeed(t *testing.T) {
 		results := st.Finalize()
 		for i, mk := range mks {
 			ref := mk()
-			want := core.Run(ref, trace.NewReader(tr))
+			want := core.Run(ref, tr)
 			if results[i] != want {
 				t.Errorf("feed %d predictor %d: got %+v want %+v", feed, i, results[i], want)
 			}

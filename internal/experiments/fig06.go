@@ -40,7 +40,7 @@ func strideHistFor(cfg Config, bench string, differential bool) (metrics.Histogr
 		p = core.NewFCM(16, 12)
 	}
 	h := metrics.NewStrideHist(4096, 16)
-	return h.Run(p, trace.NewReader(tr)), nil
+	return h.Run(p, tr), nil
 }
 
 // strideOracleHits returns a benchmark's trace plus the 2^16-entry

@@ -51,8 +51,8 @@ func runAblationIndex(cfg Config) (*Result, error) {
 		cells[ki] = make([]cell, len(cfg.benchmarks()))
 		s.AddScan(func(i int, bench string, tr trace.Trace) error {
 			cells[ki][i] = cell{
-				aligned: core.Run(k.mk(), trace.NewReader(tr)),
-				raw:     core.Run(k.mk(), trace.NewReader(shiftPCs(tr))),
+				aligned: core.Run(k.mk(), tr),
+				raw:     core.Run(k.mk(), shiftPCs(tr)),
 			}
 			return nil
 		})

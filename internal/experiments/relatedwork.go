@@ -15,6 +15,11 @@ func runExtRelatedWork(cfg Config) (*Result, error) {
 	res := &Result{ID: "ext-relatedwork",
 		Title: "DFCM vs related-work alternatives (last-n, dynamic classification, counter hybrid)"}
 
+	const classify = "classify(lvp|stride|fcm)"
+	newClassified := func() *core.Classified {
+		return core.NewClassified(14, 16, 8,
+			core.NewLastValue(12), core.NewStride(12), core.NewFCM(12, 11))
+	}
 	type contender struct {
 		name string
 		mk   func() core.Predictor
@@ -23,10 +28,7 @@ func runExtRelatedWork(cfg Config) (*Result, error) {
 		{"lvp", func() core.Predictor { return core.NewLastValue(14) }},
 		{"last-4", func() core.Predictor { return core.NewLastN(12, 4) }},
 		{"stride", func() core.Predictor { return core.NewStride(13) }},
-		{"classify(lvp|stride|fcm)", func() core.Predictor {
-			return core.NewClassified(14, 16, 8,
-				core.NewLastValue(12), core.NewStride(12), core.NewFCM(12, 11))
-		}},
+		{classify, func() core.Predictor { return newClassified() }},
 		{"meta(stride|fcm)", func() core.Predictor {
 			return core.NewMetaHybrid(core.NewStride(12), core.NewFCM(12, 11), 12)
 		}},
@@ -38,16 +40,19 @@ func runExtRelatedWork(cfg Config) (*Result, error) {
 	s := newSweep(cfg)
 	jobs := make([]*engine.Job, len(contenders))
 	for i, c := range contenders {
-		jobs[i] = s.Add(c.mk)
+		if c.name != classify {
+			jobs[i] = s.Add(c.mk)
+		}
 	}
 	// The classification scheme's unpredictable fraction (Rychlik
 	// reports >50%, Lee 24%) needs the predictor's end-of-run state, so
-	// it rides along as a per-benchmark scan of the same trace pass.
+	// it replays as a per-benchmark scan instead of a job; the same
+	// replay yields its accuracy.
+	classified := make([]metrics.BenchResult, len(cfg.benchmarks()))
 	unFracs := make([]float64, len(cfg.benchmarks()))
 	s.AddScan(func(i int, bench string, tr trace.Trace) error {
-		cl := core.NewClassified(14, 16, 8,
-			core.NewLastValue(12), core.NewStride(12), core.NewFCM(12, 11))
-		core.Run(cl, trace.NewReader(tr))
+		cl := newClassified()
+		classified[i] = metrics.BenchResult{Benchmark: bench, Result: core.Run(cl, tr)}
 		unFracs[i] = cl.Unpredictable()
 		return nil
 	})
@@ -56,7 +61,10 @@ func runExtRelatedWork(cfg Config) (*Result, error) {
 	}
 	accs := map[string]float64{}
 	for i, c := range contenders {
-		acc := jobs[i].Weighted()
+		acc := metrics.WeightedMean(classified)
+		if c.name != classify {
+			acc = jobs[i].Weighted()
+		}
 		accs[c.name] = acc
 		t.AddRow(c.name, metrics.Kbit(c.mk().SizeBits()), metrics.F(acc))
 	}
@@ -69,12 +77,12 @@ func runExtRelatedWork(cfg Config) (*Result, error) {
 	}
 	res.addNote("dynamic classification marks %.0f%% of classified instructions unpredictable (Rychlik reports >50%%, Lee 24%%)",
 		100*unTotal/unCount)
-	if accs["dfcm"] >= accs["classify(lvp|stride|fcm)"] {
+	if accs["dfcm"] >= accs[classify] {
 		res.addNote("DFCM (%.3f) beats dynamic classification (%.3f) at comparable size — the paper's fixed-partitioning critique",
-			accs["dfcm"], accs["classify(lvp|stride|fcm)"])
+			accs["dfcm"], accs[classify])
 	} else {
 		res.addNote("WARNING: classification (%.3f) beat DFCM (%.3f)",
-			accs["classify(lvp|stride|fcm)"], accs["dfcm"])
+			accs[classify], accs["dfcm"])
 	}
 	if accs["last-4"] > accs["lvp"] {
 		res.addNote("last-4 improves on LVP (%.3f vs %.3f) but cannot reach context prediction",

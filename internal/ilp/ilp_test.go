@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/progs"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -162,7 +161,7 @@ func TestPredictorAccuracyMatchesCoreRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.Run(core.NewDFCM(12, 10), trace.NewReader(tr))
+	ref := core.Run(core.NewDFCM(12, 10), tr)
 	if ref.Predictions != res.Predictable || ref.Correct != res.Correct {
 		t.Errorf("ILP walk scored %d/%d, trace run %d/%d",
 			res.Correct, res.Predictable, ref.Correct, ref.Predictions)

@@ -45,7 +45,7 @@ type predictState struct {
 
 // MeasurePredictability runs the four oracles at the given history
 // order (1..4) over the trace.
-func MeasurePredictability(src trace.Source, order int) Predictability {
+func MeasurePredictability(tr trace.Trace, order int) Predictability {
 	if order < 1 || order > 4 {
 		panic("metrics: predictability order out of range [1,4]")
 	}
@@ -57,12 +57,8 @@ func MeasurePredictability(src trace.Source, order int) Predictability {
 		copy(k[:order], k[1:order])
 		k[order-1] = v
 	}
-	for {
-		e, more := src.Next()
-		if !more {
-			break
-		}
-		p.Events++
+	p.Events = uint64(len(tr))
+	for _, e := range tr {
 		s := per[e.PC]
 		if s == nil {
 			s = &predictState{
@@ -134,5 +130,5 @@ func Realized(p core.Predictor, t trace.Trace, ceiling float64) float64 {
 	if ceiling == 0 {
 		return 0
 	}
-	return core.Run(p, trace.NewReader(t)).Accuracy() / ceiling
+	return core.Run(p, t).Accuracy() / ceiling
 }

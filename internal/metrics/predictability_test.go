@@ -20,7 +20,7 @@ func TestPredictabilityConstant(t *testing.T) {
 	for i := range vals {
 		vals[i] = 7
 	}
-	p := MeasurePredictability(trace.NewReader(seq(0x40, vals)), 2)
+	p := MeasurePredictability(seq(0x40, vals), 2)
 	if p.Constant < 0.98 {
 		t.Errorf("Constant = %.3f, want ~1", p.Constant)
 	}
@@ -40,7 +40,7 @@ func TestPredictabilityPureStride(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint32(i * 12)
 	}
-	p := MeasurePredictability(trace.NewReader(seq(0x40, vals)), 2)
+	p := MeasurePredictability(seq(0x40, vals), 2)
 	if p.Constant > 0.02 {
 		t.Errorf("Constant = %.3f, want ~0", p.Constant)
 	}
@@ -64,7 +64,7 @@ func TestPredictabilityRepeatingPattern(t *testing.T) {
 	for i := range vals {
 		vals[i] = pattern[i%len(pattern)]
 	}
-	p := MeasurePredictability(trace.NewReader(seq(0x40, vals)), 2)
+	p := MeasurePredictability(seq(0x40, vals), 2)
 	if p.Context < 0.95 || p.DContext < 0.95 {
 		t.Errorf("Context = %.3f, DContext = %.3f, both should be ~1", p.Context, p.DContext)
 	}
@@ -82,7 +82,7 @@ func TestPredictabilityRandomNearZero(t *testing.T) {
 		x ^= x << 5
 		vals[i] = x
 	}
-	p := MeasurePredictability(trace.NewReader(seq(0x40, vals)), 2)
+	p := MeasurePredictability(seq(0x40, vals), 2)
 	if p.Ceiling() > 0.02 {
 		t.Errorf("Ceiling = %.3f on random values", p.Ceiling())
 	}
@@ -97,8 +97,8 @@ func TestPredictabilityOrderMatters(t *testing.T) {
 	for i := range vals {
 		vals[i] = pattern[i%len(pattern)]
 	}
-	p1 := MeasurePredictability(trace.NewReader(seq(0x40, vals)), 1)
-	p2 := MeasurePredictability(trace.NewReader(seq(0x40, vals)), 2)
+	p1 := MeasurePredictability(seq(0x40, vals), 1)
+	p2 := MeasurePredictability(seq(0x40, vals), 2)
 	if p2.Context <= p1.Context {
 		t.Errorf("order-2 context (%.3f) should beat order-1 (%.3f)", p2.Context, p1.Context)
 	}
@@ -108,7 +108,7 @@ func TestPredictabilityOrderMatters(t *testing.T) {
 }
 
 func TestPredictabilityEmpty(t *testing.T) {
-	p := MeasurePredictability(trace.NewReader(nil), 2)
+	p := MeasurePredictability(nil, 2)
 	if p.Events != 0 || p.Ceiling() != 0 {
 		t.Errorf("empty: %+v", p)
 	}
@@ -122,7 +122,7 @@ func TestPredictabilityPanicsOnBadOrder(t *testing.T) {
 					t.Errorf("order %d did not panic", order)
 				}
 			}()
-			MeasurePredictability(trace.NewReader(nil), order)
+			MeasurePredictability(nil, order)
 		}()
 	}
 }
@@ -133,7 +133,7 @@ func TestRealized(t *testing.T) {
 		vals[i] = uint32(i * 4)
 	}
 	tr := seq(0x40, vals)
-	ceiling := MeasurePredictability(trace.NewReader(tr), 2).DContext
+	ceiling := MeasurePredictability(tr, 2).DContext
 	frac := Realized(core.NewDFCM(8, 12), tr, ceiling)
 	if frac < 0.95 {
 		t.Errorf("DFCM realizes %.3f of the differential ceiling on a pure stride", frac)

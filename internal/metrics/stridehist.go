@@ -44,16 +44,12 @@ func (h *StrideHist) Observe(p core.L2Indexer, e trace.Event) {
 // Run drives predictor p over the whole trace with instrumentation
 // and returns the sorted histogram. p must implement core.Predictor
 // to be updated.
-func (h *StrideHist) Run(p core.Predictor, src trace.Source) Histogram {
+func (h *StrideHist) Run(p core.Predictor, tr trace.Trace) Histogram {
 	idx, ok := p.(core.L2Indexer)
 	if !ok {
 		panic("metrics: predictor does not expose its level-2 index")
 	}
-	for {
-		e, more := src.Next()
-		if !more {
-			break
-		}
+	for _, e := range tr {
 		h.Observe(idx, e)
 		p.Predict(e.PC) // keep prediction path exercised
 		p.Update(e.PC, e.Value)
@@ -98,76 +94,34 @@ func StrideHits(oracleBits uint, tr trace.Trace) []bool {
 
 // StrideHistsFromHits is StrideHists with the oracle outcomes
 // precomputed by StrideHits over the same trace. len(hits) must equal
-// len(tr).
+// len(tr), and every p must implement core.IndexedUpdater as well as
+// core.L2Indexer (FCM and DFCM do). L2IndexAndUpdate touches level-1
+// once per (event, predictor) and returns the index L2Index would
+// have returned before the same Update, so counting on every event
+// and discarding on oracle misses is bit-identical to StrideHist.Run.
 func StrideHistsFromHits(hits []bool, tr trace.Trace, ps ...core.Predictor) []Histogram {
 	if len(hits) != len(tr) {
 		panic("metrics: oracle hit mask does not match trace length")
 	}
-	idxs := make([]core.L2Indexer, len(ps))
 	fused := make([]core.IndexedUpdater, len(ps))
 	counts := make([][]uint64, len(ps))
-	allFused := true
 	for i, p := range ps {
-		idx, ok := p.(core.L2Indexer)
+		f, ok := p.(interface {
+			core.L2Indexer
+			core.IndexedUpdater
+		})
 		if !ok {
 			panic("metrics: predictor does not expose its level-2 index")
 		}
-		idxs[i] = idx
-		counts[i] = make([]uint64, idx.L2Entries())
-		if f, ok := p.(core.IndexedUpdater); ok {
-			fused[i] = f
-		} else {
-			allFused = false
-		}
+		fused[i] = f
+		counts[i] = make([]uint64, f.L2Entries())
 	}
-	if allFused {
-		// Fast path: L2IndexAndUpdate touches level-1 once per
-		// (event, predictor) and returns the same index L2Index would
-		// have before the same Update — counting on every event and
-		// discarding on oracle misses is bit-identical to the generic
-		// loop. The Figure 6/9 shapes additionally dispatch on the
-		// concrete predictor types, saving an interface call per
-		// (event, predictor) on the hottest scans in the suite.
-		switch {
-		case len(ps) == 1 && asFCM(ps[0]) != nil:
-			f := asFCM(ps[0])
-			c := counts[0]
-			for ei, e := range tr {
-				idx := f.L2IndexAndUpdate(e.PC, e.Value)
-				if hits[ei] {
-					c[idx]++
-				}
-			}
-		case len(ps) == 2 && asFCM(ps[0]) != nil && asDFCM(ps[1]) != nil:
-			f, d := asFCM(ps[0]), asDFCM(ps[1])
-			cf, cd := counts[0], counts[1]
-			for ei, e := range tr {
-				fi := f.L2IndexAndUpdate(e.PC, e.Value)
-				di := d.L2IndexAndUpdate(e.PC, e.Value)
-				if hits[ei] {
-					cf[fi]++
-					cd[di]++
-				}
-			}
-		default:
-			for ei, e := range tr {
-				hit := hits[ei]
-				for i, f := range fused {
-					idx := f.L2IndexAndUpdate(e.PC, e.Value)
-					if hit {
-						counts[i][idx]++
-					}
-				}
-			}
-		}
-	} else {
-		for ei, e := range tr {
-			hit := hits[ei]
-			for i, p := range ps {
-				if hit {
-					counts[i][idxs[i].L2Index(e.PC)]++
-				}
-				p.Update(e.PC, e.Value)
+	for ei, e := range tr {
+		hit := hits[ei]
+		for i, f := range fused {
+			idx := f.L2IndexAndUpdate(e.PC, e.Value)
+			if hit {
+				counts[i][idx]++
 			}
 		}
 	}
@@ -178,11 +132,6 @@ func StrideHistsFromHits(hits []bool, tr trace.Trace, ps ...core.Predictor) []Hi
 	}
 	return out
 }
-
-// asFCM and asDFCM recover the concrete predictor types for the
-// specialized scan loops; they return nil for anything else.
-func asFCM(p core.Predictor) *core.FCM   { f, _ := p.(*core.FCM); return f }
-func asDFCM(p core.Predictor) *core.DFCM { d, _ := p.(*core.DFCM); return d }
 
 // Histogram returns the per-entry stride-access counts sorted in
 // descending order (the paper's x axis: "l2-entry (sorted)").

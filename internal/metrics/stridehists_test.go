@@ -29,8 +29,8 @@ func TestStrideHistsMatchPerRunHistograms(t *testing.T) {
 	tr := histTrace(4000)
 	const oracleBits, l2 = 10, 8
 
-	fref := NewStrideHist(1<<l2, oracleBits).Run(core.NewFCM(8, l2), trace.NewReader(tr))
-	dref := NewStrideHist(1<<l2, oracleBits).Run(core.NewDFCM(8, l2), trace.NewReader(tr))
+	fref := NewStrideHist(1<<l2, oracleBits).Run(core.NewFCM(8, l2), tr)
+	dref := NewStrideHist(1<<l2, oracleBits).Run(core.NewDFCM(8, l2), tr)
 
 	got := StrideHists(oracleBits, tr, core.NewFCM(8, l2), core.NewDFCM(8, l2))
 	if len(got) != 2 {

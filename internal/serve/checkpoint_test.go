@@ -92,7 +92,7 @@ func TestCheckpointDrainAndWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(p, trace.NewReader(events[:cut]))
+	core.Run(p, events[:cut])
 	for _, ev := range events[cut:] {
 		if p.Predict(ev.PC) == ev.Value {
 			wantHits++
@@ -151,7 +151,7 @@ func TestCheckpointWarmStartTAGE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(p, trace.NewReader(events[:cut]))
+	core.Run(p, events[:cut])
 	wantHits := uint32(0)
 	for _, ev := range events[cut:] {
 		if p.Predict(ev.PC) == ev.Value {

@@ -18,7 +18,7 @@ var testSpec = core.Spec{Kind: "dfcm", L1: 10, L2: 10}
 // the seed PC keeps distinct sessions' traces distinct.
 func testEvents(basePC uint32, n int) trace.Trace {
 	body := workload.LoopBody(basePC, 2, 6, 4, 2)
-	return trace.Collect(workload.Interleave(body, (n+13)/14), n)
+	return workload.Interleave(body, (n+13)/14)[:n]
 }
 
 // offlineHits is the ground truth: the hit count of an offline run
@@ -29,7 +29,7 @@ func offlineHits(t *testing.T, events trace.Trace) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.Run(p, trace.NewReader(events)).Correct
+	return core.Run(p, events).Correct
 }
 
 func newTestEngine(t *testing.T, cfg Config) *Engine {
@@ -81,7 +81,7 @@ func TestRunBatchScorerPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(offline, trace.NewReader(events)).Correct
+	want := core.Run(offline, events).Correct
 
 	e := newTestEngine(t, Config{Spec: spec, Shards: 2})
 	if got := runThroughEngine(t, e, 5, events, 128); got != want {
@@ -176,7 +176,7 @@ func TestConcurrentSessions(t *testing.T) {
 				errs <- err.Error()
 				return
 			}
-			want := core.Run(p, trace.NewReader(events)).Correct
+			want := core.Run(p, events).Correct
 			var hits uint64
 			for start := 0; start < len(events); start += 100 {
 				for {

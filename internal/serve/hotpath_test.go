@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/leakcheck"
-	"repro/internal/trace"
 )
 
 // TestConnScratchAliasingUnderConcurrency: the per-connection reuse of
@@ -216,7 +215,7 @@ func TestRunBatchScorerParityServed(t *testing.T) {
 	if st != StatusOK {
 		t.Fatalf("RunBatch: %v", st)
 	}
-	want := core.Run(mk(), trace.NewReader(events))
+	want := core.Run(mk(), events)
 	if uint64(hits) != want.Correct {
 		t.Errorf("served Scorer replay: %d hits, offline %d", hits, want.Correct)
 	}

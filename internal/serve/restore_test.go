@@ -160,7 +160,7 @@ func TestServerRestoreSessionWire(t *testing.T) {
 
 	// Ground truth: the whole trace on one engine.
 	p, _ := testSpec.New()
-	want := core.Run(p, trace.NewReader(events)).Correct
+	want := core.Run(p, events).Correct
 
 	var hits uint64
 	h, st, err := ca.RunBatch(session, events[:half])

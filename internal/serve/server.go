@@ -20,8 +20,11 @@ type ServerConfig struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds writing one response frame. 0 selects 10s.
 	WriteTimeout time.Duration
-	// MaxFrame bounds request payload size; an oversized frame closes
-	// the connection. 0 selects DefaultMaxFrame.
+	// MaxFrame bounds request payload size (RestoreSession frames may
+	// reach MaxSnapshotFrame). An oversized frame is drained and
+	// answered StatusBadRequest on the still-open connection; only a
+	// frame beyond MaxSnapshotFrame closes it. 0 selects
+	// DefaultMaxFrame.
 	MaxFrame int
 }
 

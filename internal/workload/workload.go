@@ -116,22 +116,18 @@ type Instruction struct {
 	Stream Stream
 }
 
-// Interleave yields rounds of all instructions in order, n rounds
-// total, as a trace source — the shape of an inner loop body.
-func Interleave(instrs []Instruction, rounds int) trace.Source {
-	i, r := 0, 0
-	return trace.Func(func() (trace.Event, bool) {
-		if r >= rounds {
-			return trace.Event{}, false
+// Interleave returns the trace of rounds passes over all instructions
+// in order, len(instrs)*rounds events — the shape of an inner loop
+// body. Each stream advances once per pass, so a prefix of the result
+// is the trace a shorter run would produce.
+func Interleave(instrs []Instruction, rounds int) trace.Trace {
+	tr := make(trace.Trace, 0, len(instrs)*max(rounds, 0))
+	for r := 0; r < rounds; r++ {
+		for _, in := range instrs {
+			tr = append(tr, trace.Event{PC: in.PC, Value: in.Stream.Next()})
 		}
-		in := instrs[i]
-		e := trace.Event{PC: in.PC, Value: in.Stream.Next()}
-		i++
-		if i == len(instrs) {
-			i, r = 0, r+1
-		}
-		return e, true
-	})
+	}
+	return tr
 }
 
 // LoopBody builds a canonical mixed loop body at base PC: nConst

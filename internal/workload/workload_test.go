@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 func TestConstant(t *testing.T) {
@@ -75,7 +74,7 @@ func TestInterleaveShape(t *testing.T) {
 		{PC: 0x100, Stream: Constant(1)},
 		{PC: 0x104, Stream: &Stride{Step: 1}},
 	}
-	tr := trace.Collect(Interleave(instrs, 3), 0)
+	tr := Interleave(instrs, 3)
 	if len(tr) != 6 {
 		t.Fatalf("got %d events, want 6", len(tr))
 	}

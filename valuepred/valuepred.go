@@ -15,7 +15,7 @@
 //
 // or, measuring accuracy over a trace:
 //
-//	res := valuepred.Run(valuepred.NewDFCM(16, 12), valuepred.NewReader(tr))
+//	res := valuepred.Run(valuepred.NewDFCM(16, 12), tr)
 //	fmt.Println(res.Accuracy())
 //
 // See the repository README for the experiment harness that
@@ -46,8 +46,6 @@ type (
 	Event = trace.Event
 	// Trace is an in-memory sequence of events.
 	Trace = trace.Trace
-	// Source yields trace events one at a time.
-	Source = trace.Source
 	// HashFunc is an incrementally updatable history hash for
 	// two-level predictors.
 	HashFunc = hash.Func
@@ -102,12 +100,10 @@ var (
 
 // Measurement helpers.
 var (
-	// Run drives a predictor over a source and returns the outcome.
+	// Run drives a predictor over a trace and returns the outcome.
 	Run = core.Run
 	// RunConfident additionally scores the confidence signal.
 	RunConfident = core.RunConfident
-	// NewReader replays an in-memory trace.
-	NewReader = trace.NewReader
 )
 
 // ReadTrace reads a VTR1 or VTRZ trace stream.

@@ -30,7 +30,7 @@ func TestPublicAPISurface(t *testing.T) {
 		tr = append(tr, valuepred.Event{PC: 0x40, Value: uint32(i * 3)})
 	}
 	for _, p := range preds {
-		res := valuepred.Run(p, valuepred.NewReader(tr))
+		res := valuepred.Run(p, tr)
 		if res.Predictions != uint64(len(tr)) {
 			t.Errorf("%s: %d predictions", p.Name(), res.Predictions)
 		}
@@ -51,7 +51,7 @@ func TestPublicConfidenceAPI(t *testing.T) {
 		tr = append(tr, valuepred.Event{PC: 0x40, Value: uint32(i)})
 	}
 	for _, e := range estimators {
-		res := valuepred.RunConfident(e, valuepred.NewReader(tr))
+		res := valuepred.RunConfident(e, tr)
 		if res.All.Predictions != uint64(len(tr)) {
 			t.Errorf("%s: missing predictions", e.Name())
 		}
